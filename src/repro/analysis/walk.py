@@ -428,13 +428,13 @@ def deterministic_strategy_walk(
             else:
                 computed = port_at(rid, graph.switch_id(current))
             view = _StaticPortView(graph, current, down)
-            decision = strategy.select_port(view, None, in_port, computed, rng)
-            if decision.port is None:
-                return dropped(current, f"no-usable-port({strategy.name})")
-            neighbor = graph.neighbor_on_port(current, decision.port)
-            hops.append(
-                WalkHop(current, in_port, decision.port, decision.deflected)
+            port, deflected = strategy.select_port(
+                view, None, in_port, computed, rng
             )
+            if port is None:
+                return dropped(current, f"no-usable-port({strategy.name})")
+            neighbor = graph.neighbor_on_port(current, port)
+            hops.append(WalkHop(current, in_port, port, deflected))
             in_port = graph.port_of(neighbor, current)
             current = neighbor
             continue

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.trace import PacketTracer
 from repro.switches.core import KarSwitch
-from repro.switches.deflection import Decision, DeflectionStrategy
+from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
 __all__ = [
@@ -187,16 +187,8 @@ class ArborescenceFailoverStrategy(DeflectionStrategy):
         for offset in range(count):
             port = self.tree_ports[(start + offset) % count]
             if port is not None and switch.port_up(port):
-                return Decision(port=port, deflected=offset > 0)
-        return Decision.drop()
-
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if not self.tree_ports:
-            return None
-        port = self.tree_ports[self.in_port_tree.get(in_port, 0)]
-        if port is not None and switch.port_up(port):
-            return port
-        return None
+                return port, offset > 0
+        return None, False
 
 
 class ArborescenceFailoverSwitch(KarSwitch):

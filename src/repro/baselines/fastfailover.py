@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 from repro.sim.engine import Simulator
 from repro.sim.trace import PacketTracer
 from repro.switches.core import KarSwitch
-from repro.switches.deflection import DeflectionStrategy, Decision, NoDeflection
+from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import PortGraph, TopologyError
 from repro.topology.paths import NoPathError, shortest_path
 
@@ -60,14 +60,14 @@ class FastFailoverStrategy(DeflectionStrategy):
         self.default_port = default_port
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
+        if computed_port in switch.healthy_ports():
+            return computed_port, False
         backup = self.backups.get(computed_port)
         if backup is not None and switch.port_up(backup):
-            return Decision(port=backup, deflected=True)
+            return backup, True
         if self.default_port is not None and switch.port_up(self.default_port):
-            return Decision(port=self.default_port, deflected=True)
-        return Decision.drop()
+            return self.default_port, True
+        return None, False
 
 
 class FastFailoverSwitch(KarSwitch):

@@ -1,27 +1,18 @@
-"""``repro bench sim`` — reference vs fast datapath, same process.
+"""``repro bench sim`` — the DES datapath and the epoch datapath.
 
-For each (topology size, deflection strategy) cell the benchmark runs
-the *same* seeded simulation twice — once with the datapath built in
-reference mode (:func:`repro.sim.fastpath.use_fastpath`), once fast —
-and compares full outcome digests (per-switch counters, drop reasons,
-event count, final RNG fingerprints) before reporting any speedup: a
-speedup over a run that computed something different is meaningless.
+Two datapath families (``--modes``):
 
-The workload is deliberately hop-heavy: a random connected core with a
-UDP probe flow and a mid-run failure on the primary path, so every
-strategy exercises its deflection fallback (where the reference path
-rebuilds ``healthy_ports()`` per decision) as well as the steady state
-(where the reference path pays the per-hop big-int modulo and a
-``Decision`` allocation).
-
-A separate microbenchmark times raw CRT encodes of the primary route
-(``crt_encodes_per_sec``) — the controller-side cost that incremental
-re-encoding (PR 1) and the farm (PR 2) care about.
-
-Since PR 9 the benchmark covers two datapath families (``--modes``):
-
-* ``des`` — the discrete-event engine, fast path vs in-process
-  reference (the original matrix);
+* ``des`` — the discrete-event engine on a hop-heavy workload: a
+  random connected core with a UDP probe flow and a mid-run failure on
+  the primary path, so every strategy exercises its deflection
+  fallback as well as the steady state.  **Every cell is verified
+  before it is timed**: one untimed run checks every switch decision
+  against the paper's pseudocode
+  (:class:`~repro.verify.oracles.DecisionAudit`: residue, port,
+  deflected flag and RNG stream position), and a cell with a single
+  divergence raises.  Each timed repeat must then reproduce the
+  verified run's outcome digest (per-switch counters, drop reasons,
+  event count, final RNG fingerprints).
 * ``epoch`` — the million-packet datapath: the epoch-quantized model's
   vectorized engine (:mod:`repro.sim.vector`) and 2-shard engine
   (:mod:`repro.sim.shard`) against the untouched-KarSwitch scalar
@@ -30,31 +21,27 @@ Since PR 9 the benchmark covers two datapath families (``--modes``):
   order of magnitude more packets.
 
 Results land in ``BENCH_sim.json``; CI runs ``--quick`` and asserts
-only ``digests_match_reference`` and run-to-run digest identity (never
+only the verification fields and run-to-run digest identity (never
 wall-clock — shared runners make absolute thresholds flaky).
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.artifact import finish_artifact
 from repro.controller.protection import ProtectionPlanner
 from repro.farm.jobs import record_digest
-from repro.rns.encoder import Hop, RouteEncoder
 from repro.runner import KarSimulation
-from repro.sim.fastpath import use_fastpath
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import STRATEGY_NAMES
 from repro.topology import (
-    NodeKind,
     Scenario,
     attach_host_pair,
     random_connected,
     shortest_path,
 )
+from repro.verify.oracles import DecisionAudit, OracleResult, outcome_record
 
 __all__ = ["SIZES", "MODES", "EPOCH_WORKLOADS", "run_sim_bench",
            "render_sim_bench"]
@@ -77,8 +64,8 @@ EPOCH_WORKLOADS: Dict[str, Dict[str, int]] = {
 EPOCH_TARGET_PER_MIN = 10_000_000
 
 #: Topology size presets.  ``min_switch_id`` scales with size so larger
-#: nets also mean larger route IDs (more big-int work on the reference
-#: path, like a real deployment's wider coprime pool).
+#: nets also mean larger route IDs (more big-int work per residue-cache
+#: miss, like a real deployment's wider coprime pool).
 SIZES: Dict[str, Dict[str, Any]] = {
     "small": dict(num_switches=8, extra_links=3, min_switch_id=29,
                   rate_pps=500, traffic_s=1.2),
@@ -142,38 +129,19 @@ def _bench_scenario(size: str, seed: int) -> Scenario:
     )
 
 
-def _outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
-    """Canonical, digestable outcome of one run.
-
-    Includes the engine's event count and a fingerprint of every
-    switch's final RNG state, so two runs digest equal only if they
-    processed the same events in the same order and made the same
-    random draws — the bit-identical contract, not just equal totals.
-    """
-    switches: Dict[str, List[int]] = {}
-    rng_fp = hashlib.sha256()
-    for info in sorted(ks.scenario.graph.nodes(NodeKind.CORE),
-                       key=lambda i: i.name):
-        sw = ks.network.node(info.name)
-        assert isinstance(sw, KarSwitch)
-        switches[info.name] = [sw.forwarded, sw.deflections, sw.drops]
-        rng_fp.update(repr(sw._rng.getstate()).encode("utf-8"))
-    record: Dict[str, Any] = {
-        "sent": src.sent,
-        "received": sink.received,
-        "events": ks.sim.events_processed,
-        "drop_reasons": dict(sorted(ks.tracer.drop_reasons.items())),
-        "switches": switches,
-        "rng_fingerprint": rng_fp.hexdigest()[:16],
-    }
-    record["digest"] = record_digest(record)
-    return record
-
-
 def _run_once(
-    scenario: Scenario, strategy: str, seed: int, size: str
+    scenario: Scenario,
+    strategy: str,
+    seed: int,
+    size: str,
+    audit: Optional[OracleResult] = None,
 ) -> Tuple[float, Dict[str, Any]]:
-    """One seeded run; returns (wall seconds, outcome record)."""
+    """One seeded run; returns (wall seconds, digested outcome record).
+
+    With *audit* (the untimed verify run), a
+    :class:`~repro.verify.oracles.DecisionAudit` checks every switch
+    decision against the paper's pseudocode and records into it.
+    """
     cfg = SIZES[size]
     traffic_s = cfg["traffic_s"]
     route = scenario.primary_route
@@ -189,30 +157,16 @@ def _run_once(
     ks.schedule_failure(
         fail_a, fail_b, at=traffic_s / 3, repair_at=2 * traffic_s / 3
     )
-    # Time only the event loop: this is a datapath benchmark, and
-    # topology/route construction is identical in both modes.
+    decisions = DecisionAudit(ks, audit) if audit is not None else None
+    # Time only the event loop: this is a datapath benchmark.
     start = time.perf_counter()
     ks.run(until=traffic_s + _DRAIN_S)
     elapsed = time.perf_counter() - start
-    return elapsed, _outcome_record(ks, src, sink)
-
-
-def _crt_bench(scenario: Scenario, repeats: int) -> Dict[str, Any]:
-    """Encodes/sec for the primary route's CRT (controller-side cost)."""
-    graph = scenario.graph
-    hops = [Hop(graph.switch_id(n), 1) for n in scenario.primary_route]
-    encoder = RouteEncoder()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        route = encoder.encode(hops)
-    elapsed = time.perf_counter() - start
-    return {
-        "encodes": repeats,
-        "route_hops": len(hops),
-        "route_bits": route.bit_length,
-        "wall_s": round(elapsed, 4),
-        "encodes_per_sec": round(repeats / elapsed) if elapsed > 0 else None,
-    }
+    if decisions is not None:
+        decisions.finish()
+    record = outcome_record(ks, src, sink)
+    record["digest"] = record_digest(record)
+    return elapsed, record
 
 
 def _epoch_spec(size: str, strategy: str, seed: int) -> Dict[str, Any]:
@@ -346,19 +300,20 @@ def run_sim_bench(
     """Run the datapath benchmark matrix; optionally write *out*.
 
     ``modes`` selects the datapath families (default: both): ``des``
-    (event loop, fast vs reference) and ``epoch`` (vectorized + 2-shard
-    batch engines vs the scalar reference engine).  ``quick`` trims the
-    matrix for CI smoke runs (small+medium, the digest checks still
-    cover every cell).
+    (event loop, every decision checked against the pseudocode) and
+    ``epoch`` (vectorized + 2-shard batch engines vs the scalar
+    reference engine).  ``quick`` trims the matrix for CI smoke runs
+    (small+medium, the checks still cover every cell).
 
     Each timed cell runs ``repeats`` times per engine (interleaved, so
     OS scheduling drift hits all engines alike) and reports the
     **minimum** wall time — the standard estimator for wall-clock
     microbenchmarks, since noise on a quiet deterministic workload is
-    strictly additive.  Every repeat must produce the same digest (the
-    simulation is seeded), which doubles as a determinism check; epoch
-    cells additionally verify vector and sharded digests against the
-    reference engine *before* the first timing repeat.
+    strictly additive.  Every cell is verified *before* the first
+    timing repeat (DES: the decision audit; epoch: vector and sharded
+    digests vs the reference engine), and every repeat must reproduce
+    the verified digest (the simulation is seeded), which doubles as
+    a determinism check.
     """
     if sizes is None:
         sizes = ("small", "medium") if quick else ("small", "medium", "large")
@@ -376,60 +331,44 @@ def run_sim_bench(
         repeats = 2 if quick else 3
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    crt_repeats = 300 if quick else 2000
-
     runs: List[Dict[str, Any]] = []
-    crt: Dict[str, Any] = {}
     for size in sizes if "des" in modes else ():
         scenario = _bench_scenario(size, seed)
-        crt[size] = _crt_bench(scenario, crt_repeats)
         for strategy in strategies:
-            ref_times: List[float] = []
-            fast_times: List[float] = []
-            ref_record: Optional[Dict[str, Any]] = None
-            fast_record: Optional[Dict[str, Any]] = None
+            # --- verify pass: every decision vs the pseudocode.
+            audit = OracleResult("datapath")
+            _, verified = _run_once(scenario, strategy, seed, size, audit)
+            if not audit.ok:
+                raise RuntimeError(
+                    f"DES datapath diverged from Algorithm 1: "
+                    f"{size}/{strategy}: {audit.divergences[0].detail}"
+                )
+            # --- timing pass: each repeat must reproduce the digest.
+            times: List[float] = []
             for _ in range(repeats):
-                with use_fastpath(False):
-                    wall, record = _run_once(scenario, strategy, seed, size)
-                ref_times.append(wall)
-                if ref_record is not None and record["digest"] != ref_record["digest"]:
+                wall, record = _run_once(scenario, strategy, seed, size)
+                if record["digest"] != verified["digest"]:
                     raise RuntimeError(
-                        f"non-deterministic reference run: {size}/{strategy}"
+                        f"non-deterministic DES run: {size}/{strategy}"
                     )
-                ref_record = record
-                with use_fastpath(True):
-                    wall, record = _run_once(scenario, strategy, seed, size)
-                fast_times.append(wall)
-                if fast_record is not None and record["digest"] != fast_record["digest"]:
-                    raise RuntimeError(
-                        f"non-deterministic fast run: {size}/{strategy}"
-                    )
-                fast_record = record
-            ref_s, fast_s = min(ref_times), min(fast_times)
-            packets = ref_record["sent"]
-            forwarded = sum(v[0] for v in ref_record["switches"].values())
+                times.append(wall)
+            wall_s = min(times)
+            packets = verified["sent"]
+            forwarded = sum(v[0] for v in verified["switches"].values())
             runs.append({
                 "size": size,
                 "strategy": strategy,
                 "packets": packets,
-                "events": ref_record["events"],
+                "events": verified["events"],
                 "forwarded": forwarded,
-                "reference": {
-                    "wall_s": round(ref_s, 4),
-                    "packets_per_sec": round(packets / ref_s),
-                    "events_per_sec": round(ref_record["events"] / ref_s),
-                    "forwarded_per_min": _per_min(forwarded, ref_s),
-                },
-                "fast": {
-                    "wall_s": round(fast_s, 4),
-                    "packets_per_sec": round(packets / fast_s),
-                    "events_per_sec": round(fast_record["events"] / fast_s),
-                    "forwarded_per_min": _per_min(forwarded, fast_s),
-                },
-                "speedup": round(ref_s / fast_s, 3) if fast_s > 0 else None,
-                "digest_reference": ref_record["digest"],
-                "digest_fast": fast_record["digest"],
-                "digests_match": ref_record["digest"] == fast_record["digest"],
+                "wall_s": round(wall_s, 4),
+                "packets_per_sec": round(packets / wall_s),
+                "events_per_sec": round(verified["events"] / wall_s),
+                "forwarded_per_min": _per_min(forwarded, wall_s),
+                "decision_checks": audit.checks,
+                "decision_divergences": len(audit.divergences),
+                "digest": verified["digest"],
+                "digests_match": True,  # enforced above, per repeat
             })
 
     epoch_runs: List[Dict[str, Any]] = []
@@ -439,29 +378,21 @@ def run_sim_bench(
             shard_processes=not quick,
         )
 
-    def _aggregate(size: str) -> Optional[float]:
-        cells = [r for r in runs if r["size"] == size]
-        if not cells:
-            return None
-        ref = sum(c["reference"]["wall_s"] for c in cells)
-        fast = sum(c["fast"]["wall_s"] for c in cells)
-        return round(ref / fast, 3) if fast > 0 else None
-
     def _epoch_vs_des(size: str) -> Optional[Dict[str, Any]]:
-        """Vectorized epoch datapath vs the PR-3 DES fast path, as
-        aggregate forwarded-packets/min over the size's cells."""
+        """Vectorized epoch datapath vs the DES datapath, as aggregate
+        forwarded-packets/min over the size's cells."""
         des_cells = [r for r in runs if r["size"] == size]
         ep_cells = [r for r in epoch_runs if r["size"] == size]
         if not des_cells or not ep_cells:
             return None
         des_fwd = sum(c["forwarded"] for c in des_cells)
-        des_wall = sum(c["fast"]["wall_s"] for c in des_cells)
+        des_wall = sum(c["wall_s"] for c in des_cells)
         ep_fwd = sum(c["forwarded"] for c in ep_cells)
         ep_wall = sum(c["vector"]["wall_s"] for c in ep_cells)
         des_per_min = _per_min(des_fwd, des_wall)
         ep_per_min = _per_min(ep_fwd, ep_wall)
         return {
-            "des_fast_forwarded_per_min": des_per_min,
+            "des_forwarded_per_min": des_per_min,
             "vector_forwarded_per_min": ep_per_min,
             "ratio": (
                 round(ep_per_min / des_per_min, 2)
@@ -481,19 +412,20 @@ def run_sim_bench(
         "modes": list(modes),
         "sizes": {s: SIZES[s] for s in sizes},
         "runs": runs,
-        "crt": crt,
-        "speedup_by_size": {s: _aggregate(s) for s in sizes},
         "epoch": {
             "workloads": {s: EPOCH_WORKLOADS[s] for s in sizes},
             "runs": epoch_runs,
-            "vs_des_fast": {s: _epoch_vs_des(s) for s in sizes},
+            "vs_des": {s: _epoch_vs_des(s) for s in sizes},
             "target_forwarded_per_min": EPOCH_TARGET_PER_MIN,
             "best_vector_forwarded_per_min": best_vector_per_min,
             "target_met": best_vector_per_min >= EPOCH_TARGET_PER_MIN,
         } if "epoch" in modes else None,
-        "digests_match_reference": (
-            all(r["digests_match"] for r in runs)
-            and all(r["digests_match"] for r in epoch_runs)
+        "decisions_verified": all(
+            r["decision_checks"] > 0 and r["decision_divergences"] == 0
+            for r in runs
+        ),
+        "digests_match_reference": all(
+            r["digests_match"] for r in epoch_runs
         ),
     }
     return finish_artifact(result, out)
@@ -506,26 +438,21 @@ def render_sim_bench(result: Dict[str, Any]) -> str:
     ]
     if result["runs"]:
         lines.append(
-            f"  {'size':<8} {'strategy':<9} {'pkts/s ref':>11} "
-            f"{'pkts/s fast':>12} {'speedup':>8}  digests"
+            f"  {'size':<8} {'strategy':<9} {'pkts/s':>8} "
+            f"{'fwd/min':>10} {'decision checks':>16}  verified"
         )
         for r in result["runs"]:
+            ok = r["decision_divergences"] == 0 and r["digests_match"]
             lines.append(
                 f"  {r['size']:<8} {r['strategy']:<9} "
-                f"{r['reference']['packets_per_sec']:>11} "
-                f"{r['fast']['packets_per_sec']:>12} "
-                f"{r['speedup']:>7}x  "
-                f"{'match' if r['digests_match'] else 'MISMATCH'}"
+                f"{r['packets_per_sec']:>8} "
+                f"{r['forwarded_per_min']:>10} "
+                f"{r['decision_checks']:>16}  "
+                f"{'ok' if ok else 'DIVERGED'}"
             )
-        for size, agg in result["speedup_by_size"].items():
-            crt = result["crt"].get(size)
-            if crt is None:
-                continue
-            lines.append(
-                f"  {size}: aggregate speedup {agg}x, CRT "
-                f"{crt['encodes_per_sec']} encodes/s "
-                f"({crt['route_hops']} hops, {crt['route_bits']} bits)"
-            )
+        lines.append(
+            f"  decisions verified: {result['decisions_verified']}"
+        )
     epoch = result.get("epoch")
     if epoch:
         lines.append(
@@ -544,12 +471,12 @@ def render_sim_bench(result: Dict[str, Any]) -> str:
                 f"{r['speedup_vs_reference']:>7}x  "
                 f"{'match' if r['digests_match'] else 'MISMATCH'}"
             )
-        for size, cmp in epoch["vs_des_fast"].items():
+        for size, cmp in epoch["vs_des"].items():
             if cmp is None:
                 continue
             lines.append(
                 f"  {size}: vector {cmp['vector_forwarded_per_min']} "
-                f"fwd/min vs DES fast {cmp['des_fast_forwarded_per_min']} "
+                f"fwd/min vs DES {cmp['des_forwarded_per_min']} "
                 f"fwd/min = {cmp['ratio']}x"
             )
         lines.append(

@@ -18,8 +18,9 @@ runner:
   model; ``--shrink`` minimizes divergent cases, ``--replay`` reruns
   a saved divergence artifact.
 * ``farm bench`` — measure the farm's parallel/cache speedups.
-* ``bench sim`` — fast-datapath vs reference benchmark (packets/sec,
-  events/sec, CRT encodes/sec), with bit-identical digest checking.
+* ``bench sim`` — datapath benchmark (packets/sec, events/sec), every
+  DES cell's switch decisions checked against Algorithm 1 and every
+  epoch cell's digest against the scalar engine before timing.
 * ``bench crt`` — control-plane encoder benchmark: naive vs pooled vs
   incremental re-encode, every cell verified bit-identical to the
   reference ``crt()`` solver.
@@ -324,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "bench",
-        help="performance benchmarks (datapath fast path vs reference)",
+        help="performance benchmarks, verified before timing",
     )
     perf_sub = perf.add_subparsers(dest="bench_command", required=True)
     sim = perf_sub.add_parser(
         "sim",
-        help="packets/sec + events/sec + CRT encodes/sec, fast vs "
-             "reference datapath, with bit-identical digest checks",
+        help="packets/sec + events/sec of the DES and epoch "
+             "datapaths, verified before timing",
     )
     sim.add_argument("--quick", action="store_true",
                      help="CI smoke matrix (small+medium, fewer repeats)")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--modes", nargs="+", choices=_BENCH_SIM_MODES,
                      default=None, metavar="MODE",
                      help="datapath families to benchmark: des (event "
-                          "loop, fast vs reference) and/or epoch "
+                          "loop) and/or epoch "
                           "(vectorized + sharded batch engines) "
                           f"(choices: {', '.join(_BENCH_SIM_MODES)}; "
                           "default: both)")

@@ -83,7 +83,7 @@ class KarSimulation:
         backend: encoding backend name (:data:`repro.rns.BACKEND_NAMES`)
             or instance, or None for the historical default (identical
             to ``"crt"`` but with the switch decode hook left unset, so
-            the PR-3 fast path stays byte-for-byte).  The backend's
+            switches compute ``route_id % switch_id`` directly).  The backend's
             encoder drives the controller (flows, protection hops,
             misdelivery re-encodes) and its ``port_at`` drives every
             core switch.  When the scenario's switch IDs violate the

@@ -1,12 +1,11 @@
 """Epoch-batched forwarding: the million-packet datapath.
 
 The DES engine (:mod:`repro.sim.engine`) prices every hop as a heap
-event — exact, but bounded by Python per-event overhead even with the
-PR-3 fast path.  This module adds the ROADMAP's "million-packet
-datapath": an **epoch-quantized forwarding model** in which every live
-packet advances exactly one switch hop per epoch, and a whole switch's
-epoch queue is drained in one vectorized numpy pass (the CPU analogue
-of the array-batched bulk provisioner in
+event — exact, but bounded by Python per-event overhead.  This module
+adds a "million-packet datapath": an **epoch-quantized forwarding
+model** in which every live packet advances exactly one switch hop per
+epoch, and a whole switch's epoch queue is drained in one vectorized
+numpy pass (the CPU analogue of the array-batched bulk provisioner in
 :mod:`repro.controller.bulk`).
 
 Two engines implement the *same* canonical model and must produce
@@ -14,19 +13,19 @@ bit-identical outcome records (digested with
 :func:`repro.farm.jobs.record_digest`):
 
 * :func:`run_epoch_reference` — the oracle.  It drives **untouched**
-  :class:`~repro.switches.core.KarSwitch` objects, built in reference
-  mode (:func:`~repro.sim.fastpath.use_fastpath`), one
-  ``receive()`` call per packet per hop: per-hop big-int
-  ``R mod switch_id``, per-decision ``healthy_ports()`` rebuilds, real
-  ``Decision`` allocations, and the switch's own RNG stream draws.
+  :class:`~repro.switches.core.KarSwitch` objects, one ``receive()``
+  call per packet per hop, with the switch's own RNG stream draws.
+  Its headers carry no residue hints, so every switch computes
+  ``R mod switch_id`` itself, independently of the per-flow residue
+  arrays the vector engine reads.
 * :func:`run_epoch_vector` — the batch engine.  Per switch per epoch
   it resolves ``R mod switch_id`` for the whole queue at once (from
   per-flow residue arrays seeded by
   :meth:`~repro.rns.encoder.EncodedRoute.residue_map`), applies the
   deflection strategy's happy-path predicate as a numpy mask, and only
-  the fallback minority goes through the *reference*
-  ``select_port`` — so every RNG draw is literally the reference
-  code's draw, in the reference order.
+  the fallback minority goes through the switch's ``select_port`` —
+  so every RNG draw is literally the scalar engine's draw, in the
+  same order.
 
 Canonical model (shared by both engines, and by the sharded engine in
 :mod:`repro.sim.shard`):
@@ -75,7 +74,6 @@ import numpy as np
 from repro.farm.jobs import record_digest
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import use_fastpath
 from repro.sim.invariants import InvariantChecker
 from repro.sim.packet import KarHeader, Packet
 from repro.sim.rng import RngRegistry
@@ -181,10 +179,11 @@ class EpochFlow:
     """One provisioned flow: a constant route ID entering at one switch.
 
     ``residues`` is the encode-time hint
-    (:meth:`~repro.rns.encoder.EncodedRoute.residue_map`); switches not
-    in it fall back to the big-int ``route_id % switch_id`` — computed
-    per packet by the reference engine, once per (flow, switch) by the
-    vector engine.
+    (:meth:`~repro.rns.encoder.EncodedRoute.residue_map`) the vector
+    engine reads; switches not in it fall back to the big-int
+    ``route_id % switch_id``, once per (flow, switch).  The reference
+    engine never reads the hint: its switches compute the modulo
+    themselves, so a wrong hint shows up as a divergence.
     """
 
     route_id: int
@@ -522,7 +521,7 @@ def run_epoch_reference(
     trace: bool = False,
     invariants: Optional[InvariantChecker] = None,
 ) -> EpochOutcome:
-    """The oracle: untouched reference-mode switches, packet by packet.
+    """The oracle: untouched KarSwitch objects, packet by packet.
 
     ``invariants`` optionally attaches a live
     :class:`~repro.sim.invariants.InvariantChecker` — the switches call
@@ -539,33 +538,32 @@ def run_epoch_reference(
     switches: Dict[int, KarSwitch] = {}
     sinks: Dict[int, List[Tuple[int, Packet]]] = {}
     states: Dict[Tuple[str, str], _StubState] = {}
-    with use_fastpath(False):
-        for u in topo.core_indices:
-            name = topo.names[u]
-            sw = KarSwitch(
-                name, sim, num_ports=topo.degree[u],
-                switch_id=int(topo.switch_ids[u]),
-                strategy=strategy,
-                rng=registry.stream(f"deflect:{name}"),
-                tracer=recorder,
-                invariants=invariants,
-            )
-            switches[u] = sw
-            sinks[u] = []
-        for key, (u, pu, v, pv) in sorted(topo.links.items()):
-            state = _StubState()
-            states[key] = state
-            for node_idx, port, peer_idx in ((u, pu, v), (v, pv, u)):
-                sw = switches.get(node_idx)
-                if sw is not None:
-                    sw.attach(
-                        port,
-                        _StubLink(
-                            state,
-                            _CaptureChannel(sinks[node_idx], port),
-                            topo.names[peer_idx],
-                        ),
-                    )
+    for u in topo.core_indices:
+        name = topo.names[u]
+        sw = KarSwitch(
+            name, sim, num_ports=topo.degree[u],
+            switch_id=int(topo.switch_ids[u]),
+            strategy=strategy,
+            rng=registry.stream(f"deflect:{name}"),
+            tracer=recorder,
+            invariants=invariants,
+        )
+        switches[u] = sw
+        sinks[u] = []
+    for key, (u, pu, v, pv) in sorted(topo.links.items()):
+        state = _StubState()
+        states[key] = state
+        for node_idx, port, peer_idx in ((u, pu, v), (v, pv, u)):
+            sw = switches.get(node_idx)
+            if sw is not None:
+                sw.attach(
+                    port,
+                    _StubLink(
+                        state,
+                        _CaptureChannel(sinks[node_idx], port),
+                        topo.names[peer_idx],
+                    ),
+                )
 
     flows = workload.flows
     queues: Dict[int, List[Tuple[int, int, Packet, int]]] = {
@@ -593,7 +591,6 @@ def run_epoch_reference(
                 src_host=f"flow{f}", dst_host=f"flow{f}", size_bytes=100,
                 kar=KarHeader(
                     route_id=flow.route_id, modulus=0, ttl=flow.ttl,
-                    residues=flow.residues,
                 ),
             )
             uid_of[id(packet)] = uid
@@ -867,25 +864,25 @@ class EpochCore:
                 counters[2] += n_drop
                 self._drop_n("no-usable-port(none)", n_drop)
         elif len(fallback):
-            # The slow minority goes through the reference select_port
+            # The slow minority goes through the strategy's select_port
             # with the switch's real RNG stream, in queue order — the
-            # draws ARE the reference engine's draws.
-            strategy = self.strategy
+            # draws ARE the scalar engine's draws.
+            select_port = self.strategy.select_port
             view = self.views[u]
             rng = self.rngs[u]
             reason = f"no-usable-port({s})"
             for w in fallback:
-                decision = strategy.select_port(
+                port, hop_deflected = select_port(
                     view, _ShimPacket(bool(deflected[w])),
                     int(in_port[w]), int(comp[w]), rng,
                 )
-                if decision.port is None:
+                if port is None:
                     dropped[w] = True
                     counters[2] += 1
                     self._drop_n(reason, 1)
                 else:
-                    out_port[w] = decision.port
-                    if decision.deflected:
+                    out_port[w] = port
+                    if hop_deflected:
                         out_defl[w] = True
                         hop_defl[w] = True
                         counters[1] += 1

@@ -24,14 +24,12 @@ matched seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.sim.packet import Packet
 
 __all__ = [
     "PortView",
-    "Decision",
     "DeflectionStrategy",
     "NoDeflection",
     "HotPotato",
@@ -48,10 +46,10 @@ def _randbelow_matches_choice() -> bool:
 
     ``_randbelow`` is a private CPython detail — alternative
     ``random.Random`` implementations may not have it, and nothing
-    guarantees ``choice()`` keeps delegating to it.  The fast path may
+    guarantees ``choice()`` keeps delegating to it.  A strategy may
     only index through it when this probe confirms both the values and
     the stream positions agree; otherwise every caller falls back to
-    the reference ``choice(list(...))`` form.
+    the plain ``choice(list(...))`` form.
     """
     try:
         a = random.Random(0x5EED)
@@ -81,47 +79,17 @@ class PortView(Protocol):
     def healthy_ports(self) -> Sequence[int]: ...
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """A strategy's verdict for one packet.
-
-    Attributes:
-        port: the output port, or None to drop.
-        deflected: True when the choice departed from the computed port
-            (the switch then sets the packet's deflected flag).
-    """
-
-    port: Optional[int]
-    deflected: bool = False
-
-    @classmethod
-    def drop(cls) -> "Decision":
-        return cls(port=None)
-
-
 class DeflectionStrategy:
     """Base class; subclasses implement :meth:`select_port`.
 
-    :meth:`select_port` is the **reference path**: one call, one
-    :class:`Decision`.  The fast datapath splits the same semantics in
-    two so the steady state allocates nothing:
-
-    * :meth:`fast_port` — the happy path: return the output port when
-      the packet forwards on the computed port *without* deflection
-      (no ``Decision``, no RNG), or None to fall back;
-    * :meth:`fast_fallback` — the slow path, returning a plain
-      ``(port, deflected)`` pair (``port`` None to drop) with
-      **exactly** the RNG draws :meth:`select_port` would make.  A
-      tuple, not a ``Decision``: HP random-walks take this path on
-      almost every hop, so even the slotted dataclass (whose frozen
-      ``__init__`` costs two ``object.__setattr__`` calls) showed up
-      in profiles.
-
-    The defaults make any custom strategy correct automatically (always
-    fall back to ``select_port``); the built-ins override both.  The
-    equivalence contract — same ports, same deflected flags, same RNG
-    stream consumption — is enforced by the fast-path equivalence test
-    suite.
+    One call per packet, returning a plain ``(port, deflected)`` pair
+    (``port`` None to drop).  A tuple keeps the per-hop cost to one
+    small allocation: HP random-walks decide on almost every hop.  The
+    built-ins test membership in the switch's cached healthy-ports
+    tuple (exactly the "exists, cabled, up" predicate) and draw with
+    :meth:`_random_from_seq`; the ``datapath`` and ``strategy`` verify
+    oracles check every decision, RNG stream position included,
+    against the paper's pseudocode (:mod:`repro.verify.pseudocode`).
     """
 
     #: short name used in configs, reports and benchmark tables.
@@ -134,55 +102,21 @@ class DeflectionStrategy:
         in_port: int,
         computed_port: int,
         rng: random.Random,
-    ) -> Decision:
-        raise NotImplementedError
-
-    def fast_port(
-        self,
-        switch: PortView,
-        packet: Packet,
-        in_port: int,
-        computed_port: int,
-    ) -> Optional[int]:
-        """Happy path: the non-deflected output port, or None to fall back."""
-        return None
-
-    def fast_fallback(
-        self,
-        switch: PortView,
-        packet: Packet,
-        in_port: int,
-        computed_port: int,
-        rng: random.Random,
     ) -> Tuple[Optional[int], bool]:
-        """Slow path after a :meth:`fast_port` miss; RNG-identical to
-        :meth:`select_port`.  Returns ``(port, deflected)``."""
-        decision = self.select_port(switch, packet, in_port, computed_port, rng)
-        return decision.port, decision.deflected
-
-    @staticmethod
-    def _computed_usable(switch: PortView, computed_port: int) -> bool:
-        return computed_port < switch.num_ports and switch.port_up(computed_port)
-
-    @staticmethod
-    def _random_from(candidates: Sequence[int], rng: random.Random) -> Decision:
-        if not candidates:
-            return Decision.drop()
-        return Decision(port=rng.choice(list(candidates)), deflected=True)
+        raise NotImplementedError
 
     @staticmethod
     def _random_from_seq(
         candidates: Sequence[int], rng: random.Random
     ) -> Tuple[Optional[int], bool]:
-        # Copy-free twin of _random_from: on CPython random.choice(seq)
-        # is exactly seq[rng._randbelow(len(seq))], so indexing directly
+        # Copy-free uniform draw: on CPython random.choice(seq) is
+        # exactly seq[rng._randbelow(len(seq))], so indexing directly
         # makes the same draw (same RNG stream position) for a cached
         # tuple as choice() makes for a fresh list copy of the same
         # ports.  The indexing shortcut is gated on the import-time
         # equivalence probe AND on the rng actually exposing the private
         # API, so alternative Random implementations/subclasses get the
-        # reference choice(list(...)) semantics instead of an
-        # AttributeError.
+        # plain choice(list(...)) semantics instead of an AttributeError.
         if not candidates:
             return None, False
         if _RANDBELOW_IS_CHOICE:
@@ -201,16 +135,9 @@ class NoDeflection(DeflectionStrategy):
     name = "none"
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return Decision.drop()
-
-    def fast_port(self, switch, packet, in_port, computed_port):
-        # Membership in the cached healthy tuple is exactly the
-        # "exists, cabled, up" predicate — no port_up property chain.
         if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
+            return computed_port, False
+        return None, False
 
 
 class HotPotato(DeflectionStrategy):
@@ -219,23 +146,13 @@ class HotPotato(DeflectionStrategy):
     name = "hp"
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if packet.kar is not None and packet.kar.deflected:
-            # "it follows a complete random path in network"
-            return self._random_from(switch.healthy_ports(), rng)
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
-
-    def fast_port(self, switch, packet, in_port, computed_port):
+        healthy = switch.healthy_ports()
         kar = packet.kar
-        if kar is not None and kar.deflected:
-            return None  # random walk: needs the RNG
-        if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+        if (kar is None or not kar.deflected) and computed_port in healthy:
+            return computed_port, False
+        # Deflected here or upstream: from now on "it follows a
+        # complete random path in network".
+        return self._random_from_seq(healthy, rng)
 
 
 class AnyValidPort(DeflectionStrategy):
@@ -244,17 +161,10 @@ class AnyValidPort(DeflectionStrategy):
     name = "avp"
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
-
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+        healthy = switch.healthy_ports()
+        if computed_port in healthy:
+            return computed_port, False
+        return self._random_from_seq(healthy, rng)
 
 
 class NotInputPort(DeflectionStrategy):
@@ -267,25 +177,12 @@ class NotInputPort(DeflectionStrategy):
     name = "nip"
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if (
-            self._computed_usable(switch, computed_port)
-            and computed_port != in_port
-        ):
-            return Decision(port=computed_port)
-        candidates = [p for p in switch.healthy_ports() if p != in_port]
-        return self._random_from(candidates, rng)
-
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if (
-            computed_port != in_port
-            and computed_port in switch.healthy_ports()
-        ):
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        candidates = [p for p in switch.healthy_ports() if p != in_port]
-        return self._random_from_seq(candidates, rng)
+        healthy = switch.healthy_ports()
+        if computed_port != in_port and computed_port in healthy:
+            return computed_port, False
+        return self._random_from_seq(
+            [p for p in healthy if p != in_port], rng
+        )
 
 
 _REGISTRY = {

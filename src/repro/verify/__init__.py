@@ -4,8 +4,9 @@ Chiesa et al. and Dai & Foerster both show that failover-routing
 correctness fails on *adversarial combinations* of topology and
 failures, not on the examples papers print.  This package searches for
 such combinations mechanically: seeded random scenarios are replayed
-through independent oracle pairs (reference vs fast datapath, strategy
-implementations vs paper pseudocode, wire codec vs in-memory headers,
+through independent oracle pairs (every switch decision of a full run
+vs paper pseudocode, strategy implementations vs paper pseudocode,
+wire codec vs in-memory headers,
 event simulator vs pure-graph walk model), divergences are shrunk to
 minimal cases, and every repro is a replayable JSON artifact.
 

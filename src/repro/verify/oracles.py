@@ -4,14 +4,15 @@ Each oracle takes a :class:`~repro.verify.cases.FuzzCase` and replays
 it through two *independent* evaluations of the same semantics, then
 diffs the outcomes:
 
-* ``datapath`` — the reference datapath vs the fast datapath
-  (:mod:`repro.sim.fastpath`): full outcome digest (per-switch
-  counters, drop reasons, event counts, RNG stream positions) plus
-  hop-by-hop per-packet traces.
+* ``datapath`` — every decision the KAR switches make in the case's
+  full event-driven run vs the paper-pseudocode transcription
+  (:mod:`repro.verify.pseudocode`), fed the big-int ``R mod s``, the
+  healthy ports read from the links and a clone of the switch's RNG
+  (:class:`DecisionAudit`): residue, port, deflected flag and RNG
+  stream position.
 * ``strategy`` — each deflection strategy implementation vs the
-  paper-pseudocode transcription (:mod:`repro.verify.pseudocode`),
-  decision by decision, and the ``fast_port``/``fast_fallback`` split
-  vs ``select_port``, including RNG stream identity.
+  pseudocode on fuzzed switch states, decision by decision, including
+  RNG stream identity.
 * ``wire`` — the :mod:`repro.rns.wire` codec vs in-memory
   :class:`~repro.sim.packet.KarHeader` semantics: round trips, the
   encode/decode inverse pair on arbitrary bytes, truncation at every
@@ -68,7 +69,6 @@ from repro.rns.wire import (
     header_wire_size,
 )
 from repro.runner import KarSimulation
-from repro.sim.fastpath import use_fastpath
 from repro.sim.packet import KarHeader, Packet
 from repro.switches.core import KarSwitch
 from repro.switches.deflection import DeflectionStrategy, strategy_by_name
@@ -81,6 +81,8 @@ __all__ = [
     "Divergence",
     "OracleResult",
     "ORACLE_NAMES",
+    "DecisionAudit",
+    "outcome_record",
     "check_datapaths",
     "check_strategy",
     "check_wire",
@@ -143,7 +145,7 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (a) reference datapath vs fast datapath
+# (a) every switch decision of a full run vs Algorithm 1
 # ---------------------------------------------------------------------------
 
 def _run_case_sim(
@@ -152,11 +154,13 @@ def _run_case_sim(
     deflection,
     ttl: int,
     backend: Optional[str] = None,
+    audit: Optional[OracleResult] = None,
 ) -> Tuple[KarSimulation, Any, Any]:
     ks = KarSimulation(
         scenario, deflection=deflection, protection="none",
         seed=case.seed, ttl=ttl, trace_paths=True, backend=backend,
     )
+    decisions = DecisionAudit(ks, audit) if audit is not None else None
     src, sink = ks.add_udp_probe(
         rate_pps=case.rate_pps, duration_s=case.traffic_s
     )
@@ -164,10 +168,12 @@ def _run_case_sim(
     for a, b, at, repair in case.failures:
         ks.schedule_failure(a, b, at=at, repair_at=repair)
     ks.run(until=case.traffic_s + 1.5)
+    if decisions is not None:
+        decisions.finish()
     return ks, src, sink
 
 
-def _outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
+def outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
     """The full digestable outcome of one run — the bit-identical
     contract: counters, drop reasons, event order, RNG positions."""
     switches = {}
@@ -188,49 +194,120 @@ def _outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
     }
 
 
-def check_datapaths(case: FuzzCase) -> OracleResult:
-    """Reference vs fast datapath on the full case (oracle a)."""
-    result = OracleResult("datapath")
-    scenario = build_scenario(case)
-    with use_fastpath(False):
-        ks_ref, src, sink = _run_case_sim(
-            case, scenario, case.strategy, case.ttl
-        )
-        ref = _outcome_record(ks_ref, src, sink)
-    ref_paths = ks_ref.tracer._paths
-    with use_fastpath(True):
-        ks_fast, src, sink = _run_case_sim(
-            case, scenario, case.strategy, case.ttl
-        )
-        fast = _outcome_record(ks_fast, src, sink)
-    fast_paths = ks_fast.tracer._paths
+class DecisionAudit:
+    """Checks every strategy call a run's KAR switches make, as they
+    make it, against the paper's pseudocode
+    (:mod:`repro.verify.pseudocode`).
 
-    for key in ref:
-        result.check(
-            fast[key] == ref[key],
-            lambda key=key: (
-                f"outcome[{key}] differs: reference={ref[key]!r} "
-                f"fast={fast[key]!r}"
-            ),
-        )
-    # Hop-by-hop digest: every packet must take the same ports with the
-    # same deflected flags at the same times.  Packet uids come from a
-    # process-global counter, so traces pair up in uid order.
-    if result.check(
-        len(fast_paths) == len(ref_paths),
-        lambda: (
-            f"traced packet count differs: reference={len(ref_paths)} "
-            f"fast={len(fast_paths)}"
-        ),
-    ):
-        for ref_uid, fast_uid in zip(sorted(ref_paths), sorted(fast_paths)):
+    Built after the simulation and before it runs, it wraps each
+    switch's bound strategy call.  Per decision, the pseudocode gets
+    the big-int ``route_id % switch_id``, the healthy ports read from
+    the attached links (not the switch's cached tuple), the packet's
+    deflected flag before the hop and a clone of the switch's RNG; the
+    switch's residue, port, deflected flag and RNG state afterwards
+    must all match.  No-usable-port drops are decisions too.  Covers
+    the default integer datapath (no encoding-backend ``decode``) and
+    the four paper strategies.  The run's outcome is unchanged: the
+    switch still draws from its own RNG.
+    """
+
+    def __init__(self, ks: KarSimulation, result: OracleResult):
+        self.ks = ks
+        self.result = result
+        self.decisions = 0
+        for sw in self._switches():
+            spec = PSEUDOCODE[sw.strategy.name]
+            sw._select_port = self._wrap(sw, spec, sw._select_port)
+
+    def _switches(self) -> List[KarSwitch]:
+        return [
+            node for node in self.ks.network.nodes.values()
+            if isinstance(node, KarSwitch)
+        ]
+
+    def _wrap(self, sw: KarSwitch, spec, select):
+        result = self.result
+        sid = sw.switch_id
+        num_ports = sw.num_ports
+
+        def select_port(switch, packet, in_port, computed, rng):
+            kar = packet.kar
+            residue = kar.route_id % sid
+            up = frozenset(
+                p for p in range(num_ports)
+                if (link := sw.link_on(p)) is not None and link.up
+            )
+            was_deflected = kar.deflected
+            twin = random.Random(0)
+            twin.setstate(rng.getstate())
+            want = spec(num_ports, up, in_port, residue, was_deflected, twin)
+            got = select(switch, packet, in_port, computed, rng)
+            self.decisions += 1
+
+            def where() -> str:
+                return (
+                    f"{sw.name} t={sw.sim.now:.6f} in={in_port} "
+                    f"up={sorted(up)} R%{sid}={residue} "
+                    f"deflected={was_deflected}"
+                )
+
             result.check(
-                fast_paths[fast_uid] == ref_paths[ref_uid],
-                lambda r=ref_uid, f=fast_uid: (
-                    f"hop trace differs for packet pair ref#{r}/fast#{f}: "
-                    f"reference={ref_paths[r]!r} fast={fast_paths[f]!r}"
+                computed == residue,
+                lambda: f"{where()}: switch computed port {computed}",
+            )
+            result.check(
+                got[0] == want[0],
+                lambda: f"{where()}: switch port {got[0]}, paper {want[0]}",
+            )
+            result.check(
+                got[1] == want[1],
+                lambda: (
+                    f"{where()}: switch deflected={got[1]}, paper {want[1]}"
                 ),
             )
+            result.check(
+                rng.getstate() == twin.getstate(),
+                lambda: (
+                    f"{where()}: switch consumed a different RNG stream "
+                    f"than the pseudocode"
+                ),
+            )
+            return got
+
+        return select_port
+
+    def finish(self) -> OracleResult:
+        """Check that every forward and no-usable-port drop of the run
+        went through the audit; returns the result."""
+        made = sum(sw.forwarded for sw in self._switches()) + sum(
+            n for reason, n in self.ks.tracer.drop_reasons.items()
+            if reason.startswith("no-usable-port")
+        )
+        self.result.check(
+            made == self.decisions,
+            lambda: (
+                f"switches made {made} decisions, the audit saw "
+                f"{self.decisions}"
+            ),
+        )
+        return self.result
+
+
+def check_datapaths(
+    case: FuzzCase,
+    strategy: Optional[DeflectionStrategy] = None,
+) -> OracleResult:
+    """Every switch decision of the full case vs Algorithm 1 (oracle a).
+
+    *strategy* overrides the case's strategy instance, as in
+    :func:`check_strategy`.
+    """
+    result = OracleResult("datapath")
+    _run_case_sim(
+        case, build_scenario(case),
+        strategy if strategy is not None else case.strategy,
+        case.ttl, audit=result,
+    )
     return result
 
 
@@ -296,8 +373,7 @@ def check_strategy(
         )
 
         rng_impl = random.Random(draw_seed)
-        decision = impl.select_port(view, packet, in_port, computed, rng_impl)
-        got = (decision.port, decision.deflected)
+        got = impl.select_port(view, packet, in_port, computed, rng_impl)
         result.check(
             got == want,
             lambda s=state, g=got, w=want: (
@@ -309,31 +385,6 @@ def check_strategy(
             rng_impl.getstate() == rng_spec.getstate(),
             lambda s=state: (
                 f"select_port consumed a different RNG stream than the "
-                f"pseudocode at {s}"
-            ),
-        )
-
-        # The fast split must compose to the same decision with the
-        # same draws: fast_port (no RNG) or fast_fallback (RNG).
-        rng_fast = random.Random(draw_seed)
-        fast_hit = impl.fast_port(view, packet, in_port, computed)
-        if fast_hit is not None:
-            got_fast = (fast_hit, False)
-        else:
-            got_fast = impl.fast_fallback(
-                view, packet, in_port, computed, rng_fast
-            )
-        result.check(
-            got_fast == want,
-            lambda s=state, g=got_fast, w=want: (
-                f"fast_port/fast_fallback disagrees with pseudocode at "
-                f"{s}: fast={g} paper={w}"
-            ),
-        )
-        result.check(
-            rng_fast.getstate() == rng_spec.getstate(),
-            lambda s=state: (
-                f"fast path consumed a different RNG stream than the "
                 f"pseudocode at {s}"
             ),
         )
@@ -896,13 +947,13 @@ def check_backend(case: FuzzCase) -> OracleResult:
     # Integer backends: the full case run must be bit-identical to the
     # default datapath (decode hook None, same controller numbers).
     ks_ref, src, sink = _run_case_sim(case, scenario, case.strategy, case.ttl)
-    ref = _outcome_record(ks_ref, src, sink)
+    ref = outcome_record(ks_ref, src, sink)
     ref_paths = ks_ref.tracer._paths
     for name in ("crt", "pooled"):
         ks_b, src, sink = _run_case_sim(
             case, scenario, case.strategy, case.ttl, backend=name
         )
-        got = _outcome_record(ks_b, src, sink)
+        got = outcome_record(ks_b, src, sink)
         for key in ref:
             result.check(
                 got[key] == ref[key],
@@ -912,7 +963,7 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
         # Packet uids come from a process-global counter — traces pair
-        # up in uid order, the same pairing check_datapaths uses.
+        # up in uid order.
         got_paths = ks_b.tracer._paths
         result.check(
             [got_paths[u] for u in sorted(got_paths)]
@@ -1045,10 +1096,10 @@ def vector_workload_spec(case: FuzzCase) -> Dict[str, Any]:
 def check_vector(case: FuzzCase) -> OracleResult:
     """Vector and sharded epoch engines vs the reference engine.
 
-    Decision-by-decision: full outcome records (counters, drop reasons,
-    RNG fingerprints), record digests, per-packet hop traces (port and
-    deflected flag at every hop) and terminal fates must all match the
-    untouched-KarSwitch reference run.
+    Compared decision by decision: full outcome records (counters, drop
+    reasons, RNG fingerprints), record digests, per-packet hop traces
+    (port and deflected flag at every hop) and terminal fates must all
+    match the untouched-KarSwitch reference run.
     """
     from repro.sim.shard import run_epoch_sharded
     from repro.sim.vector import (

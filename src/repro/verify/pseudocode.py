@@ -2,12 +2,14 @@
 
 These functions are the *specification side* of the strategy oracle:
 each is written naively, straight from the paper's prose and Algorithm
-1, against a bare description of the switch state — no ``Decision``
-dataclass, no ``PortView`` protocol, no fast-path split.  The oracle
-(:func:`repro.verify.oracles.check_strategy`) then checks the real
-:mod:`repro.switches.deflection` implementations against them decision
-by decision, including RNG stream positions, so a refactor of the
-implementation cannot silently drift from the paper.
+1, against a bare description of the switch state — no ``PortView``
+protocol, no cached port tuples, no residue hints.  Two oracles check
+the real :mod:`repro.switches.deflection` implementations against them
+decision by decision, including RNG stream positions:
+:func:`repro.verify.oracles.check_strategy` on fuzzed switch states,
+and :class:`repro.verify.oracles.DecisionAudit` on every decision of a
+full event-driven run — so a refactor of the implementation cannot
+silently drift from the paper.
 
 Shared conventions (mirroring the dataplane):
 

@@ -30,27 +30,27 @@ class TestRunSimBench:
 
     def test_digests_match_in_every_cell(self, result):
         res, _ = result
-        assert res["digests_match_reference"] is True
+        assert res["decisions_verified"] is True
         assert [r["strategy"] for r in res["runs"]] == ["none", "nip"]
         for run in res["runs"]:
             assert run["digests_match"], run
-            assert run["digest_reference"] == run["digest_fast"]
+            assert run["decision_checks"] > 0, run
+            assert run["decision_divergences"] == 0, run
 
     def test_throughput_fields_populated(self, result):
         res, _ = result
         for run in res["runs"]:
-            for mode in ("reference", "fast"):
-                assert run[mode]["wall_s"] > 0
-                assert run[mode]["packets_per_sec"] > 0
-                assert run[mode]["events_per_sec"] > 0
+            assert run["wall_s"] > 0
+            assert run["packets_per_sec"] > 0
+            assert run["events_per_sec"] > 0
+            assert run["forwarded_per_min"] > 0
             assert run["packets"] > 0 and run["events"] > 0
-        assert res["speedup_by_size"]["small"] is not None
-        assert res["crt"]["small"]["encodes_per_sec"] > 0
+        assert "crt" not in res
 
     def test_json_written_and_round_trips(self, result):
         res, out = result
         data = json.loads(out.read_text())
-        assert data["digests_match_reference"] is True
+        assert data["decisions_verified"] is True
         assert data["repeats"] == 1
         assert data["sizes"]["small"] == SIZES["small"]
 
@@ -58,8 +58,8 @@ class TestRunSimBench:
         res, _ = result
         text = render_sim_bench(res)
         assert "none" in text and "nip" in text
-        assert "digests match reference: True" in text
-        assert "MISMATCH" not in text
+        assert "decisions verified: True" in text
+        assert "DIVERGED" not in text
 
     def test_unknown_size_rejected(self):
         with pytest.raises(ValueError, match="unknown size"):

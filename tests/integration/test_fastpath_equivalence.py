@@ -1,24 +1,23 @@
-"""Fast datapath vs reference datapath: bit-identical, property-style.
+"""The switch datapath vs Algorithm 1: bit-identical, property-style.
 
-The fast path (residue hints and caching, membership port checks,
-tuple fallbacks, handle-free scheduling) must not change behaviour by
-even one RNG draw.  Each test here runs the same seeded workload twice
-— once per datapath — on a random topology with a random failure
-schedule, and requires identical hop-by-hop traces and identical
-outcome digests (counters, drop reasons, event count, final RNG
-states).
+The datapath's shortcuts (residue hints and caching, cached
+healthy-ports tuples, copy-free random draws) must not change a
+single decision or RNG draw.  Each test here runs a seeded workload on
+a random topology with a random failure schedule under the
+``datapath`` oracle's :class:`~repro.verify.oracles.DecisionAudit`:
+every switch decision must equal the paper's pseudocode fed the
+big-int ``R mod s``, the healthy ports read from the links and a clone
+of the switch's RNG — same port, same deflected flag, same RNG stream
+position.  An unaudited rerun must reproduce the outcome (counters,
+drop reasons, event count, final RNG states) and the hop-by-hop traces.
 """
 
-import hashlib
 import random
 
 import pytest
 
 from repro.controller.protection import ProtectionPlanner
-from repro.farm.jobs import record_digest
 from repro.runner import KarSimulation
-from repro.sim.fastpath import fastpath_enabled, use_fastpath
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import STRATEGY_NAMES
 from repro.topology import (
     NodeKind,
@@ -27,6 +26,7 @@ from repro.topology import (
     random_connected,
     shortest_path,
 )
+from repro.verify.oracles import DecisionAudit, OracleResult, outcome_record
 
 _TRAFFIC_S = 0.8
 
@@ -73,40 +73,21 @@ def _random_failures(scenario: Scenario, seed: int, k: int = 3):
     return events
 
 
-def _run(scenario: Scenario, strategy: str, seed: int, failures):
+def _run(scenario: Scenario, strategy: str, seed: int, failures,
+         audit=None):
     ks = KarSimulation(
         scenario, deflection=strategy, protection="none",
         seed=seed, ttl=64, trace_paths=True,
     )
+    decisions = DecisionAudit(ks, audit) if audit is not None else None
     src, sink = ks.add_udp_probe(rate_pps=200, duration_s=_TRAFFIC_S)
     src.start(at=0.05)
     for a, b, at, repair in failures:
         ks.schedule_failure(a, b, at=at, repair_at=repair)
     ks.run(until=_TRAFFIC_S + 1.0)
+    if decisions is not None:
+        decisions.finish()
     return ks, src, sink
-
-
-def _outcome(ks: KarSimulation, src, sink) -> dict:
-    """Digestable run outcome; deliberately mirrors the bit-identical
-    contract (counters + event order + RNG stream positions)."""
-    switches = {}
-    rng_fp = hashlib.sha256()
-    for info in sorted(ks.scenario.graph.nodes(NodeKind.CORE),
-                       key=lambda i: i.name):
-        sw = ks.network.node(info.name)
-        assert isinstance(sw, KarSwitch)
-        switches[info.name] = [sw.forwarded, sw.deflections, sw.drops]
-        rng_fp.update(repr(sw._rng.getstate()).encode("utf-8"))
-    record = {
-        "sent": src.sent,
-        "received": sink.received,
-        "events": ks.sim.events_processed,
-        "drop_reasons": dict(sorted(ks.tracer.drop_reasons.items())),
-        "switches": switches,
-        "rng_fingerprint": rng_fp.hexdigest()[:16],
-    }
-    record["digest"] = record_digest(record)
-    return record
 
 
 class TestFastPathEquivalence:
@@ -117,41 +98,30 @@ class TestFastPathEquivalence:
             seed, num_switches=12, extra_links=2 + seed % 5
         )
         failures = _random_failures(scenario, seed)
-        with use_fastpath(False):
-            ks_ref, src, sink = _run(scenario, strategy, seed, failures)
-            ref = _outcome(ks_ref, src, sink)
-        ref_paths = ks_ref.tracer._paths
-        with use_fastpath(True):
-            ks_fast, src, sink = _run(scenario, strategy, seed, failures)
-            fast = _outcome(ks_fast, src, sink)
-        fast_paths = ks_fast.tracer._paths
-        assert fast == ref  # counters, drop reasons, events, RNG states
-        assert fast["digest"] == ref["digest"]
-        # Hop-by-hop: every packet took the same ports with the same
-        # deflection flags at the same times.  Packet uids are a
-        # process-global counter, so compare traces in uid order, not
-        # by raw uid.
-        assert len(fast_paths) == len(ref_paths)
-        for ref_hops, fast_hops in zip(
-            (ref_paths[k] for k in sorted(ref_paths)),
-            (fast_paths[k] for k in sorted(fast_paths)),
-        ):
-            assert fast_hops == ref_hops
-
-    def test_default_build_is_fast(self):
-        assert fastpath_enabled() is True
-
-    def test_use_fastpath_restores_flag(self):
-        before = fastpath_enabled()
-        with use_fastpath(not before):
-            assert fastpath_enabled() is not before
-        assert fastpath_enabled() is before
+        audit = OracleResult("datapath")
+        ks_audited, src, sink = _run(
+            scenario, strategy, seed, failures, audit
+        )
+        assert audit.ok, audit.divergences[:3]
+        # Four checks per decision plus the coverage check.
+        assert audit.checks > 4 * 100
+        audited = outcome_record(ks_audited, src, sink)
+        audited_paths = ks_audited.tracer._paths
+        # The audit draws from a clone, never from the switch's RNG:
+        # an unaudited rerun takes the same ports with the same flags
+        # at the same times.  Packet uids are a process-global counter,
+        # so compare traces in uid order, not by raw uid.
+        ks_plain, src, sink = _run(scenario, strategy, seed, failures)
+        assert outcome_record(ks_plain, src, sink) == audited
+        plain_paths = ks_plain.tracer._paths
+        assert [audited_paths[k] for k in sorted(audited_paths)] == [
+            plain_paths[k] for k in sorted(plain_paths)
+        ]
 
     def test_residue_machinery_engages_on_fast_runs(self):
         scenario = _make_scenario(11, num_switches=12, extra_links=4)
-        with use_fastpath(True):
-            ks, src, sink = _run(scenario, "nip", 11,
-                                 _random_failures(scenario, 11))
+        ks, src, sink = _run(scenario, "nip", 11,
+                             _random_failures(scenario, 11))
         hints = misses = 0
         for info in ks.scenario.graph.nodes(NodeKind.CORE):
             sw = ks.network.node(info.name)

@@ -47,66 +47,70 @@ def rng():
 
 class TestNoDeflection:
     def test_forwards_computed(self, rng):
-        d = NoDeflection().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
-        assert (d.port, d.deflected) == (2, False)
+        got = NoDeflection().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
+        assert got == (2, False)
 
     def test_drops_on_down_port(self, rng):
-        d = NoDeflection().select_port(FakeSwitch(4, down={2}), _pkt(), 0, 2, rng)
-        assert d.port is None
+        sw = FakeSwitch(4, down={2})
+        port, _ = NoDeflection().select_port(sw, _pkt(), 0, 2, rng)
+        assert port is None
 
     def test_drops_on_invalid_port(self, rng):
-        d = NoDeflection().select_port(FakeSwitch(3), _pkt(), 0, 7, rng)
-        assert d.port is None
+        port, _ = NoDeflection().select_port(FakeSwitch(3), _pkt(), 0, 7, rng)
+        assert port is None
 
 
 class TestHotPotato:
     def test_undeflected_follows_route(self, rng):
-        d = HotPotato().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
-        assert (d.port, d.deflected) == (2, False)
+        got = HotPotato().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
+        assert got == (2, False)
 
     def test_first_deflection_random(self, rng):
         sw = FakeSwitch(4, down={2})
-        d = HotPotato().select_port(sw, _pkt(), 0, 2, rng)
-        assert d.deflected and d.port in {0, 1, 3}
+        port, deflected = HotPotato().select_port(sw, _pkt(), 0, 2, rng)
+        assert deflected and port in {0, 1, 3}
 
     def test_flagged_packet_random_walks_even_on_valid_port(self):
         # Once deflected, HP ignores the computed port entirely.
         sw = FakeSwitch(4)
         seen = set()
         for seed in range(40):
-            d = HotPotato().select_port(
+            port, deflected = HotPotato().select_port(
                 sw, _pkt(deflected=True), 0, 2, random.Random(seed)
             )
-            assert d.deflected
-            seen.add(d.port)
+            assert deflected
+            seen.add(port)
         assert seen == {0, 1, 2, 3}  # includes the input port
 
     def test_no_ports_drops(self, rng):
         sw = FakeSwitch(2, down={0, 1})
-        assert HotPotato().select_port(sw, _pkt(deflected=True), 0, 0, rng).port is None
+        port, _ = HotPotato().select_port(sw, _pkt(deflected=True), 0, 0, rng)
+        assert port is None
 
 
 class TestAnyValidPort:
     def test_computed_port_even_if_input(self, rng):
         # AVP may send a packet back out the port it came in on.
-        d = AnyValidPort().select_port(FakeSwitch(4), _pkt(), 2, 2, rng)
-        assert (d.port, d.deflected) == (2, False)
+        got = AnyValidPort().select_port(FakeSwitch(4), _pkt(), 2, 2, rng)
+        assert got == (2, False)
 
     def test_random_includes_input(self):
         sw = FakeSwitch(3, down={1})
         seen = set()
         for seed in range(40):
-            d = AnyValidPort().select_port(
+            port, deflected = AnyValidPort().select_port(
                 sw, _pkt(), 0, 1, random.Random(seed)
             )
-            assert d.deflected
-            seen.add(d.port)
+            assert deflected
+            seen.add(port)
         assert seen == {0, 2}
 
     def test_deflected_flag_does_not_randomize(self, rng):
         # Unlike HP, AVP keeps using the modulo even after a deflection.
-        d = AnyValidPort().select_port(FakeSwitch(4), _pkt(deflected=True), 0, 2, rng)
-        assert (d.port, d.deflected) == (2, False)
+        got = AnyValidPort().select_port(
+            FakeSwitch(4), _pkt(deflected=True), 0, 2, rng
+        )
+        assert got == (2, False)
 
 
 class TestNotInputPort:
@@ -115,32 +119,36 @@ class TestNotInputPort:
         sw = FakeSwitch(3)
         seen = set()
         for seed in range(40):
-            d = NotInputPort().select_port(sw, _pkt(), 2, 2, random.Random(seed))
-            assert d.deflected
-            assert d.port != 2
-            seen.add(d.port)
+            port, deflected = NotInputPort().select_port(
+                sw, _pkt(), 2, 2, random.Random(seed)
+            )
+            assert deflected
+            assert port != 2
+            seen.add(port)
         assert seen == {0, 1}
 
     def test_random_excludes_input(self):
         sw = FakeSwitch(3, down={1})
         for seed in range(40):
-            d = NotInputPort().select_port(sw, _pkt(), 0, 1, random.Random(seed))
-            assert d.port == 2  # only non-input healthy port
+            port, _ = NotInputPort().select_port(
+                sw, _pkt(), 0, 1, random.Random(seed)
+            )
+            assert port == 2  # only non-input healthy port
 
     def test_no_candidates_drops(self, rng):
         sw = FakeSwitch(2, down={1})
-        d = NotInputPort().select_port(sw, _pkt(), 0, 1, rng)
-        assert d.port is None
+        port, _ = NotInputPort().select_port(sw, _pkt(), 0, 1, rng)
+        assert port is None
 
     def test_valid_non_input_forwarded(self, rng):
-        d = NotInputPort().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
-        assert (d.port, d.deflected) == (2, False)
+        got = NotInputPort().select_port(FakeSwitch(4), _pkt(), 0, 2, rng)
+        assert got == (2, False)
 
 
 class MinimalRng:
     """A random.Random stand-in exposing only the documented API.
 
-    No ``_randbelow``: the fast path's indexing shortcut must detect
+    No ``_randbelow``: the strategies' indexing shortcut must detect
     its absence and fall back to ``choice(list(...))`` instead of
     raising AttributeError (regression test for exactly that bug).
     """
@@ -162,7 +170,7 @@ class TestRandomFromSeqFallback:
     def test_minimal_rng_uses_choice_fallback(self):
         sw = FakeSwitch(4, down={2})
         for seed in range(20):
-            port, deflected = HotPotato().fast_fallback(
+            port, deflected = HotPotato().select_port(
                 sw, _pkt(), 0, 2, MinimalRng(seed)
             )
             assert deflected and port in {0, 1, 3}
@@ -175,8 +183,8 @@ class TestRandomFromSeqFallback:
         for seed in range(20):
             minimal = MinimalRng(seed)
             full = random.Random(seed)
-            got = NotInputPort().fast_fallback(sw, _pkt(), 0, 1, minimal)
-            want = NotInputPort().fast_fallback(sw, _pkt(), 0, 1, full)
+            got = NotInputPort().select_port(sw, _pkt(), 0, 1, minimal)
+            want = NotInputPort().select_port(sw, _pkt(), 0, 1, full)
             assert got == want
             assert minimal.getstate() == full.getstate()
 
@@ -186,7 +194,7 @@ class TestRandomFromSeqFallback:
                 raise AssertionError("RNG consulted for an empty draw")
 
         sw = FakeSwitch(2, down={0, 1})
-        port, deflected = HotPotato().fast_fallback(
+        port, deflected = HotPotato().select_port(
             sw, _pkt(deflected=True), 0, 0, ExplodingRng()
         )
         assert (port, deflected) == (None, False)

@@ -1,5 +1,5 @@
-"""Unit tests for the fast datapath: flag snapshots, the residue
-cache, encode-time hints, and the strategy fast/reference split."""
+"""Unit tests for the switch datapath's shortcuts: the residue cache,
+encode-time hints, and the strategies' cached-tuple decisions."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim import KarHeader, Link, Packet, Simulator
-from repro.sim.fastpath import fastpath_enabled, set_fastpath, use_fastpath
 from repro.sim.node import Node
 from repro.switches import KarSwitch, NoDeflection, NotInputPort
 from repro.switches.core import RESIDUE_CACHE_SIZE
@@ -17,6 +16,7 @@ from repro.switches.deflection import (
     STRATEGY_NAMES,
     strategy_by_name,
 )
+from repro.verify.pseudocode import PSEUDOCODE
 
 
 class Collector(Node):
@@ -46,33 +46,6 @@ def _pkt(route_id, residues=None, ttl=64):
     return Packet(src_host="s", dst_host="d", size_bytes=100,
                   kar=KarHeader(route_id=route_id, ttl=ttl,
                                 residues=residues))
-
-
-class TestFlag:
-    def test_default_is_fast(self):
-        assert fastpath_enabled() is True
-
-    def test_set_and_restore(self):
-        set_fastpath(False)
-        try:
-            assert fastpath_enabled() is False
-        finally:
-            set_fastpath(True)
-        assert fastpath_enabled() is True
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_fastpath(False):
-                assert fastpath_enabled() is False
-                raise RuntimeError("boom")
-        assert fastpath_enabled() is True
-
-    def test_switch_snapshots_flag_at_construction(self):
-        with use_fastpath(False):
-            _, sw_ref, _ = build_switch()
-        _, sw_fast, _ = build_switch()
-        assert sw_ref._fastpath is False
-        assert sw_fast._fastpath is True
 
 
 class TestResidueCache:
@@ -127,15 +100,6 @@ class TestResidueCache:
         assert len(sinks[2].received) == 1  # recomputed: port 2, not 0
         assert sw.residue_misses == 1 and sw.residue_hits == 0
 
-    def test_reference_mode_leaves_cache_untouched(self):
-        with use_fastpath(False):
-            sim, sw, sinks = build_switch()
-        sw.receive(_pkt(7 * 10**20 + 2, residues={7: 2}), in_port=0)
-        sim.run()
-        assert len(sinks[2].received) == 1
-        assert sw._residue_cache == {}
-        assert sw.residue_misses == 0 and sw.residue_hits == 0
-
 
 class TestEncoderResidueMap:
     def test_residue_map_matches_crt(self):
@@ -180,7 +144,7 @@ class _View:
 
 
 class TestStrategySplitEquivalence:
-    """fast_port/fast_fallback must equal select_port, draw for draw."""
+    """select_port must equal Algorithm 1's pseudocode, draw for draw."""
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     @pytest.mark.parametrize("deflected", [False, True])
@@ -191,28 +155,23 @@ class TestStrategySplitEquivalence:
             for in_port in range(4):
                 packet = _pkt(44)
                 packet.kar.deflected = deflected
-                rng_ref = random.Random(901)
-                rng_fast = random.Random(901)
-                ref = strategy.select_port(
-                    view, packet, in_port, computed, rng_ref
+                rng_spec = random.Random(901)
+                rng_impl = random.Random(901)
+                want = PSEUDOCODE[name](
+                    4, {0, 2, 3}, in_port, computed, deflected, rng_spec
                 )
-                packet.kar.deflected = deflected  # select_port never writes
-                port = strategy.fast_port(view, packet, in_port, computed)
-                if port is not None:
-                    fast = (port, False)
-                else:
-                    fast = strategy.fast_fallback(
-                        view, packet, in_port, computed, rng_fast
-                    )
+                got = strategy.select_port(
+                    view, packet, in_port, computed, rng_impl
+                )
                 case = f"{name} computed={computed} in={in_port}"
-                assert (ref.port, ref.deflected) == fast, case
-                assert rng_ref.getstate() == rng_fast.getstate(), case
+                assert got == want, case
+                assert packet.kar.deflected is deflected  # never written
+                assert rng_impl.getstate() == rng_spec.getstate(), case
 
     def test_all_ports_down_drops(self):
         strategy = AnyValidPort()
         view = _View(2, down={0, 1})
-        assert strategy.fast_port(view, _pkt(44), 0, 0) is None
-        assert strategy.fast_fallback(
+        assert strategy.select_port(
             view, _pkt(44), 0, 0, random.Random(1)
         ) == (None, False)
 
@@ -221,9 +180,17 @@ class TestStrategySplitEquivalence:
         packet.kar.deflected = True
         view = _View(3)
         # Computed port is healthy, but a deflected HP packet must
-        # random-walk — the happy path may not capture it.
-        assert HotPotato().fast_port(view, packet, 0, 2) is None
+        # random-walk: the draw happens even on the happy path.
+        rng = random.Random(5)
+        before = rng.getstate()
+        port, deflected = HotPotato().select_port(view, packet, 0, 2, rng)
+        assert deflected and port in {0, 1, 2}
+        assert rng.getstate() != before
 
     def test_nip_never_returns_input_port(self):
         view = _View(3)
-        assert NotInputPort().fast_port(view, _pkt(44), 2, 2) is None
+        for seed in range(20):
+            port, deflected = NotInputPort().select_port(
+                view, _pkt(44), 2, 2, random.Random(seed)
+            )
+            assert port != 2 and deflected

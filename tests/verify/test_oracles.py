@@ -1,10 +1,15 @@
-"""The four differential oracles: clean on healthy code, bookkeeping,
-and the mutation-detection hook the harness self-test relies on."""
+"""The differential oracles: clean on healthy code, bookkeeping, and
+the mutation-detection hooks the harness self-test relies on."""
+
+import dataclasses
 
 import pytest
 
-from repro.switches.deflection import Decision, NotInputPort
-from repro.verify.cases import FuzzCase, generate_case
+import repro.sim.vector
+from repro.rns.encoder import EncodedRoute
+from repro.switches.core import KarSwitch
+from repro.switches.deflection import NotInputPort
+from repro.verify.cases import FuzzCase, build_scenario, generate_case
 from repro.verify.oracles import (
     ORACLE_NAMES,
     Divergence,
@@ -25,6 +30,13 @@ SMALL_CASE = FuzzCase(
 )
 
 
+def _failing_case() -> FuzzCase:
+    """SMALL_CASE with its primary route cut mid-traffic, for good."""
+    route = build_scenario(SMALL_CASE).primary_route
+    a, b = route[len(route) // 2 - 1], route[len(route) // 2]
+    return SMALL_CASE.with_(failures=((a, b, 0.1, None),))
+
+
 class BrokenNip(NotInputPort):
     """Algorithm 1 with line 5 mutated: the input port is *not*
     excluded from the random fallback candidates — the exact bug NIP
@@ -32,15 +44,22 @@ class BrokenNip(NotInputPort):
     plausible implementation slip."""
 
     def select_port(self, switch, packet, in_port, computed_port, rng):
-        if (
-            self._computed_usable(switch, computed_port)
-            and computed_port != in_port
-        ):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
+        healthy = switch.healthy_ports()
+        if computed_port != in_port and computed_port in healthy:
+            return computed_port, False
+        return self._random_from_seq(healthy, rng)
 
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+
+class ExtraDraw(NotInputPort):
+    """Right answers, wrong number of RNG draws."""
+
+    def select_port(self, switch, packet, in_port, computed, rng):
+        port, deflected = super().select_port(
+            switch, packet, in_port, computed, rng
+        )
+        if port is None or deflected:
+            rng.random()  # stray draw desyncs the stream
+        return port, deflected
 
 
 class TestBookkeeping:
@@ -140,18 +159,72 @@ class TestMutationDetection:
         assert run_oracle("wire", SMALL_CASE, strategy=BrokenNip()).ok
 
     def test_rng_stream_drift_is_caught(self):
-        class ExtraDraw(NotInputPort):
-            """Right answer, wrong number of RNG draws."""
-
-            def select_port(self, switch, packet, in_port, computed, rng):
-                decision = super().select_port(
-                    switch, packet, in_port, computed, rng
-                )
-                if decision.port is None:
-                    rng.random()  # stray draw desyncs the stream
-                return decision
-
         result = check_strategy(SMALL_CASE, strategy=ExtraDraw())
         assert any(
             "different RNG stream" in d.detail for d in result.divergences
         )
+
+
+class TestDatapathMutationDetection:
+    """The datapath oracle checks the running switches, so it catches
+    slips in the switch's own shortcuts, not just in strategies."""
+
+    def test_failing_case_is_clean_on_healthy_code(self):
+        result = check_datapaths(_failing_case())
+        assert result.ok, result.divergences[:3]
+
+    def test_stale_healthy_cache_is_caught(self, monkeypatch):
+        # Link flips no longer invalidate the cached healthy tuple, so
+        # the switch keeps forwarding into the dead link.
+        monkeypatch.setattr(KarSwitch, "ports_changed", lambda self: None)
+        result = check_datapaths(_failing_case())
+        assert any(
+            "switch port" in d.detail for d in result.divergences
+        ), result.divergences[:3]
+
+    def test_wrong_residue_hint_is_caught(self, monkeypatch):
+        # The encode-time hint disagrees with route_id % switch_id at
+        # the route's first switch.
+        residue_map = EncodedRoute.residue_map
+
+        def corrupted(route):
+            hints = dict(residue_map(route))
+            first = route.hops[0].switch_id
+            hints[first] = (hints[first] + 1) % first
+            return hints
+
+        monkeypatch.setattr(EncodedRoute, "residue_map", corrupted)
+        result = check_datapaths(SMALL_CASE)
+        assert any(
+            "switch computed port" in d.detail for d in result.divergences
+        ), result.divergences[:3]
+
+    def test_extra_draw_is_caught(self):
+        result = check_datapaths(_failing_case(), strategy=ExtraDraw())
+        assert any(
+            "different RNG stream" in d.detail for d in result.divergences
+        ), result.divergences[:3]
+
+
+class TestVectorOracleIndependence:
+    def test_corrupted_residue_hint_is_caught(self, monkeypatch):
+        # The scalar engine computes R mod s itself, so a residue hint
+        # only the vector engine reads cannot fool both sides.
+        build_workload = repro.sim.vector.build_workload
+
+        def corrupted(spec):
+            workload = build_workload(spec)
+            flow = workload.flows[0]
+            sid = int(workload.topo.switch_ids[flow.ingress])
+            hints = dict(flow.residues)
+            hints[sid] = (hints[sid] + 1) % sid
+            flows = (dataclasses.replace(flow, residues=hints),)
+            return dataclasses.replace(
+                workload, flows=flows + workload.flows[1:]
+            )
+
+        monkeypatch.setattr(repro.sim.vector, "build_workload", corrupted)
+        result = run_oracle("vector", SMALL_CASE)
+        assert any(
+            d.detail.startswith("vector:") for d in result.divergences
+        ), result.divergences[:3]

@@ -12,7 +12,10 @@ import random
 
 import pytest
 
+from repro.sim import Link, Simulator
+from repro.sim.node import Node
 from repro.sim.packet import KarHeader, Packet
+from repro.switches import KarSwitch
 from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
 from repro.verify.pseudocode import PSEUDOCODE
 
@@ -29,11 +32,41 @@ class PortView:
         return tuple(p for p in range(self.num_ports) if p in self._up)
 
 
-def _pkt(deflected):
+def _pkt(deflected, route_id=1, residues=None):
     return Packet(
         src_host="H-SRC", dst_host="H-DST", size_bytes=100,
-        kar=KarHeader(route_id=1, deflected=deflected, ttl=32),
+        kar=KarHeader(route_id=route_id, deflected=deflected, ttl=32,
+                      residues=residues),
     )
+
+
+class Sink(Node):
+    def __init__(self, sim):
+        super().__init__("sink", sim, 1)
+        self.received = 0
+
+    def receive(self, packet, in_port):
+        self.received += 1
+
+
+def _switch_decision(name, num_ports, up, in_port, computed, deflected):
+    """What a real KarSwitch does with one packet: ``(port, deflected,
+    rng)``.  The packet carries a residue hint, so the switch decides
+    on its shortcut path (hint, cached healthy tuple, copy-free draw)."""
+    sim = Simulator()
+    sid = 7  # above every computed port below
+    sw = KarSwitch("SW", sim, num_ports, sid, strategy_by_name(name),
+                   random.Random(7))
+    sinks = [Sink(sim) for _ in range(num_ports)]
+    for port, sink in enumerate(sinks):
+        link = Link(sim, sw, port, sink, 0, rate_mbps=100.0, delay_s=0.0001)
+        link.set_up(port in up)
+    route_id = sid * 10**20 + computed
+    sw.receive(_pkt(deflected, route_id, {sid: computed}), in_port)
+    sim.run()
+    got = [p for p, sink in enumerate(sinks) if sink.received]
+    port = got[0] if got else None
+    return port, sw.deflections == 1, sw._rng
 
 
 def _small_states():
@@ -65,16 +98,18 @@ class TestExhaustiveAgreement:
                 rng_spec,
             )
             rng_impl = random.Random(99)
-            decision = impl.select_port(
+            got = impl.select_port(
                 PortView(num_ports, up), _pkt(deflected), in_port,
                 computed, rng_impl,
             )
             state = (num_ports, up, in_port, computed, deflected)
-            assert (decision.port, decision.deflected) == want, state
+            assert got == want, state
             assert rng_impl.getstate() == rng_spec.getstate(), state
 
+
     def test_fast_split_matches_pseudocode(self, name):
-        impl = strategy_by_name(name)
+        # The switch's shortcut path, split from the big-int modulo:
+        # residue hint, cached healthy-ports tuple, one strategy call.
         spec = PSEUDOCODE[name]
         for num_ports, up, in_port, computed, deflected in _small_states():
             rng_spec = random.Random(7)
@@ -82,19 +117,12 @@ class TestExhaustiveAgreement:
                 num_ports, frozenset(up), in_port, computed, deflected,
                 rng_spec,
             )
-            view = PortView(num_ports, up)
-            packet = _pkt(deflected)
-            rng_fast = random.Random(7)
-            hit = impl.fast_port(view, packet, in_port, computed)
-            if hit is not None:
-                got = (hit, False)
-            else:
-                got = impl.fast_fallback(
-                    view, packet, in_port, computed, rng_fast
-                )
+            port, hop_deflected, rng = _switch_decision(
+                name, num_ports, up, in_port, computed, deflected
+            )
             state = (num_ports, up, in_port, computed, deflected)
-            assert got == want, state
-            assert rng_fast.getstate() == rng_spec.getstate(), state
+            assert (port, hop_deflected) == want, state
+            assert rng.getstate() == rng_spec.getstate(), state
 
 
 class TestAlgorithmOneSpecifics:
