@@ -1,12 +1,17 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop: a binary heap of ``(time, sequence,
-callback, args)`` entries.  The sequence number breaks ties
-deterministically (FIFO among same-time events), which — together with
-seeded RNG streams (:mod:`repro.sim.rng`) — makes every simulation
-bit-reproducible.
+A minimal, fast event loop over a binary heap.  Every heap entry is a
+4-tuple ``(time, seq, payload, args)``:
 
-Two scheduling paths share the heap and the sequence counter:
+* ``seq`` comes from the simulator's one sequence counter and breaks
+  ties deterministically (FIFO among same-time events), which —
+  together with seeded RNG streams (:mod:`repro.sim.rng`) — makes every
+  simulation bit-reproducible.  Keys ``(time, seq)`` are unique.
+* ``args`` is None for a cancellable entry, whose ``payload`` is an
+  :class:`EventHandle`; otherwise ``payload`` is a bare callable fired
+  as ``payload(*args)``.
+
+Two scheduling paths produce these entries:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`EventHandle` supporting O(1) cancellation — for timers that
@@ -15,10 +20,21 @@ Two scheduling paths share the heap and the sequence counter:
   no-allocation fast path for events that are **never cancelled**
   (serializer completions, periodic monitor ticks): the callback and
   its arguments go straight into the heap entry, no handle object.
+  Link channels (:mod:`repro.sim.link`) build the same post entries
+  themselves and push them onto :attr:`Simulator._heap` directly, with
+  ``next(Simulator._seq)`` as the key.
 
-Both paths consume one sequence number per call, so mixing them does
+Every path consumes one sequence number per event, so mixing them does
 not perturb event order — a ``post`` fires exactly when the equivalent
 ``schedule`` would have.
+
+A cancelled entry stays in the heap until it surfaces; the simulator
+counts them, so :meth:`Simulator.pending` is exact at any moment.  When
+cancelled entries make up more than half of a heap above a small fixed
+size, the heap is rebuilt without them.  Keys are unique, so the order
+in which live events pop cannot change; this keeps a TCP flow, which
+cancels and re-arms its retransmission timer on every new ACK, from
+growing the heap with dead timers.
 
 This engine replaces Mininet's real-time kernel datapath in the paper's
 evaluation: instead of emulating Linux interfaces, we schedule packet
@@ -29,9 +45,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "SimError", "EventHandle"]
+
+#: Heaps at or below this many entries are never compacted: rebuilding
+#: a small heap costs more than popping its few dead entries.
+_COMPACT_FLOOR = 64
 
 
 class SimError(RuntimeError):
@@ -41,8 +62,9 @@ class SimError(RuntimeError):
 class EventHandle:
     """Handle to a scheduled event; supports O(1) cancellation.
 
-    Cancellation marks the entry dead; the heap lazily discards dead
-    entries when they surface.
+    Cancellation marks the entry dead and counts it on the simulator;
+    the heap discards dead entries when they surface or when it is
+    compacted.
     """
 
     __slots__ = ("time", "_fn", "_args", "_sim")
@@ -52,7 +74,7 @@ class EventHandle:
         time: float,
         fn: Callable[..., None],
         args: Tuple[Any, ...],
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ):
         self.time = time
         self._fn: Optional[Callable[..., None]] = fn
@@ -64,19 +86,18 @@ class EventHandle:
             return
         self._fn = None
         self._args = ()
-        if self._sim is not None:
-            self._sim._live -= 1
+        self._sim._cancelled()
 
     @property
     def cancelled(self) -> bool:
         return self._fn is None
 
     def _fire(self) -> None:
-        # Clear the handle *before* invoking: a fired event must look
-        # cancelled to a late cancel() call, or that cancel would
-        # decrement the simulator's live counter a second time and
-        # pending() could go negative.  (Consequence: `cancelled` is
-        # True for fired handles too — it means "cancel is a no-op".)
+        # Clear the handle *before* invoking: a fired event is no
+        # longer in the heap, so a late cancel() must be a no-op rather
+        # than count a dead entry that does not exist.  (Consequence:
+        # `cancelled` is True for fired handles too — it means "cancel
+        # is a no-op".)
         fn = self._fn
         if fn is not None:
             args = self._args
@@ -99,15 +120,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # Entries are (time, seq, payload, args): payload is an
-        # EventHandle when args is None (cancellable path) or a bare
-        # callable when args is a tuple (post fast path).
+        # Entry format: see the module docstring.
         self._heap: List[Tuple[float, int, Any, Optional[Tuple[Any, ...]]]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._stopped = False
-        self._live = 0  # live (non-cancelled) entries, kept O(1)
+        self._dead = 0  # cancelled entries still in the heap
         self.events_processed = 0
 
     @property
@@ -123,7 +142,6 @@ class Simulator:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         handle = EventHandle(self._now + delay, fn, args, self)
         heapq.heappush(self._heap, (handle.time, next(self._seq), handle, None))
-        self._live += 1
         return handle
 
     def schedule_at(
@@ -136,23 +154,20 @@ class Simulator:
             )
         handle = EventHandle(time, fn, args, self)
         heapq.heappush(self._heap, (time, next(self._seq), handle, None))
-        self._live += 1
         return handle
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
 
         The no-allocation fast path for events that are never cancelled
-        (the bulk of a packet simulation: serializer completions,
-        monitor ticks).  Fires in exactly the slot the equivalent
-        :meth:`schedule` call would have used.
+        (serializer completions, monitor ticks).  Fires in exactly the
+        slot the equivalent :meth:`schedule` call would have used.
         """
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
             self._heap, (self._now + delay, next(self._seq), fn, args)
         )
-        self._live += 1
 
     def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Absolute-time variant of :meth:`post`."""
@@ -161,7 +176,6 @@ class Simulator:
                 f"cannot schedule at {time} (now is {self._now})"
             )
         heapq.heappush(self._heap, (time, next(self._seq), fn, args))
-        self._live += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -173,18 +187,33 @@ class Simulator:
         The clock advances to *end_time* even if the heap drains early,
         so periodic samplers observe a consistent final timestamp.
         """
-        if self._running:
-            raise SimError("simulator is already running (re-entrant run)")
         if end_time < self._now:
             raise SimError(f"end_time {end_time} is before now {self._now}")
+        if self._drain(end_time):
+            self._now = end_time
+
+    def run(self) -> None:
+        """Process every pending event (until the heap drains or stop()).
+
+        The clock is left at the last event's time.
+        """
+        self._drain(math.inf)
+
+    def _drain(self, end_time: float) -> bool:
+        """The event loop: pop and fire events with time <= *end_time*.
+
+        Returns False when :meth:`stop` ended the loop.
+        """
+        if self._running:
+            raise SimError("simulator is already running (re-entrant run)")
         self._running = True
         self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
-        # Counters are batched into locals and folded back in the
-        # finally block: two attribute writes per event were visible in
-        # profiles.  (pending()/events_processed are therefore stale
-        # *inside* a run; both are read between runs.)
+        # events_processed is batched into a local and folded back in
+        # the finally block (an attribute write per event was visible
+        # in profiles), so it is stale *inside* a run.  pending() reads
+        # the heap and the dead count, and is exact inside a run too.
         processed = 0
         try:
             while heap and not self._stopped:
@@ -194,35 +223,7 @@ class Simulator:
                 if args is None:
                     # Cancellable path: payload is an EventHandle.
                     if payload._fn is None:
-                        continue  # cancelled; _live already decremented
-                    processed += 1
-                    self._now = time
-                    payload._fire()
-                else:
-                    processed += 1
-                    self._now = time
-                    payload(*args)
-            if not self._stopped:
-                self._now = end_time
-        finally:
-            self._running = False
-            self._live -= processed
-            self.events_processed += processed
-
-    def run(self) -> None:
-        """Process every pending event (until the heap drains or stop())."""
-        if self._running:
-            raise SimError("simulator is already running (re-entrant run)")
-        self._running = True
-        self._stopped = False
-        heap = self._heap
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            while heap and not self._stopped:
-                time, _, payload, args = heappop(heap)
-                if args is None:
-                    if payload._fn is None:
+                        self._dead -= 1
                         continue
                     processed += 1
                     self._now = time
@@ -231,16 +232,27 @@ class Simulator:
                     processed += 1
                     self._now = time
                     payload(*args)
+            return not self._stopped
         finally:
             self._running = False
-            self._live -= processed
             self.events_processed += processed
+
+    def _cancelled(self) -> None:
+        """Count one more dead entry; compact when they dominate."""
+        self._dead += 1
+        heap = self._heap
+        if self._dead * 2 > len(heap) > _COMPACT_FLOOR:
+            # In place: a running loop holds a reference to this list.
+            heap[:] = [
+                e for e in heap if e[3] is not None or e[2]._fn is not None
+            ]
+            heapq.heapify(heap)
+            self._dead = 0
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the queue.
 
-        O(1): a counter maintained on schedule/post, cancel and fire —
-        monitors call this from inside runs, where the old O(n) heap
-        scan showed up in profiles.
+        O(1) and exact at any moment, inside a run too: the heap's size
+        minus the cancelled entries still in it.
         """
-        return self._live
+        return len(self._heap) - self._dead

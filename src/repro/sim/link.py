@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
@@ -42,7 +43,12 @@ class ChannelStats:
 
 
 class Channel:
-    """One direction of a link: serializer + drop-tail queue + pipe."""
+    """One direction of a link: serializer + drop-tail queue + pipe.
+
+    Delivers to ``node.receive(packet, port)``; ``receive`` is looked
+    up per arrival, so a class-level wrapper installed after the link
+    was built still sees every packet.
+    """
 
     def __init__(
         self,
@@ -50,20 +56,27 @@ class Channel:
         rate_mbps: float,
         delay_s: float,
         queue_packets: int,
-        deliver: Callable[[Packet], None],
+        node: "Node",
+        port: int,
         drop_hook: Optional[Callable[[Packet, str], None]] = None,
     ):
         self._sim = sim
-        self._post = sim.post  # bound once: called twice per packet
+        # Serializer completions and arrivals are never cancelled
+        # (link-down is handled by the identity checks in _tx_done and
+        # _arrive), so the channel pushes the engine's handle-free
+        # entries itself: one heappush per event, no post() frame.
+        self._heap = sim._heap
+        self._seq = sim._seq
         self._rate_bps = rate_mbps * 1e6
         self._tx_s_per_byte = 8 / self._rate_bps
         self._delay_s = delay_s
         self._capacity = queue_packets
-        self._deliver = deliver
+        self._node = node
+        self._port = port
         self._drop_hook = drop_hook
         self._queue: Deque[Packet] = deque()
-        self._busy = False
         self._up = True
+        # The packet being serialized; None when the transmitter idles.
         self._transmitting: Optional[Packet] = None
         # Packets on the wire, oldest first (propagation delay is
         # constant per channel, so the pipe is strictly FIFO).
@@ -95,7 +108,6 @@ class Channel:
                 self._drop(pkt, "link-down")
                 self.stats.failure_drops += 1
             self._in_flight.clear()
-            self._busy = False
 
     @property
     def queue_depth(self) -> int:
@@ -113,27 +125,24 @@ class Channel:
             self._drop(packet, "link-down")
             self.stats.failure_drops += 1
             return False
-        if self._busy:
+        if self._transmitting is not None:
             if len(self._queue) >= self._capacity:
                 self._drop(packet, "queue-overflow")
                 self.stats.queue_drops += 1
                 return False
             self._queue.append(packet)
             return True
-        self._transmit(packet)
-        return True
-
-    def _transmit(self, packet: Packet) -> None:
-        self._busy = True
+        # Idle transmitter: start serializing now.
         self._transmitting = packet
         size = packet.size_bytes
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += size
-        # Serializer completions are never cancelled (link-down is
-        # handled by the identity check in _tx_done), so they take the
-        # engine's no-allocation post() path.
-        self._post(size * self._tx_s_per_byte, self._tx_done, packet)
+        heappush(self._heap, (
+            self._sim._now + size * self._tx_s_per_byte, next(self._seq),
+            self._tx_done, (packet,),
+        ))
+        return True
 
     def _tx_done(self, packet: Packet) -> None:
         if packet is not self._transmitting:
@@ -142,16 +151,28 @@ class Channel:
             # been repaired by now — an interrupted serialization never
             # resumes.
             return
-        self._transmitting = None
-        # Arrival events are posted handle-free; a link-down empties the
-        # pipe (dropping and accounting every casualty), and the
-        # identity check in _arrive ignores the stale events.
-        self._post(self._delay_s, self._arrive, packet)
+        now = self._sim._now
+        heap, seq = self._heap, self._seq
+        # A link-down empties the pipe (dropping and accounting every
+        # casualty), and the identity check in _arrive ignores the
+        # stale arrival events.
+        heappush(heap, (
+            now + self._delay_s, next(seq), self._arrive, (packet,),
+        ))
         self._in_flight.append(packet)
-        if self._queue:
-            self._transmit(self._queue.popleft())
-        else:
-            self._busy = False
+        queue = self._queue
+        if not queue:
+            self._transmitting = None
+            return
+        packet = self._transmitting = queue.popleft()
+        size = packet.size_bytes
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += size
+        heappush(heap, (
+            now + size * self._tx_s_per_byte, next(seq), self._tx_done,
+            (packet,),
+        ))
 
     def _arrive(self, packet: Packet) -> None:
         pipe = self._in_flight
@@ -161,7 +182,7 @@ class Channel:
             return
         pipe.popleft()
         self.stats.delivered_packets += 1
-        self._deliver(packet)
+        self._node.receive(packet, self._port)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         if self._drop_hook is not None:
@@ -189,13 +210,11 @@ class Link:
         self._up = True
         self._ab = Channel(
             sim, rate_mbps, delay_s, queue_packets,
-            deliver=lambda p: node_b.receive(p, port_b),
-            drop_hook=drop_hook,
+            node_b, port_b, drop_hook=drop_hook,
         )
         self._ba = Channel(
             sim, rate_mbps, delay_s, queue_packets,
-            deliver=lambda p: node_a.receive(p, port_a),
-            drop_hook=drop_hook,
+            node_a, port_a, drop_hook=drop_hook,
         )
         node_a.attach(port_a, self)
         node_b.attach(port_b, self)

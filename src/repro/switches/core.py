@@ -91,7 +91,16 @@ class KarSwitch(Node):
         self._residue_cache: dict = {}
         self.residue_hits = 0
         self.residue_misses = 0
-        # Bound once: the strategy dispatch is per-hop.
+
+    @property
+    def strategy(self) -> DeflectionStrategy:
+        return self._strategy
+
+    @strategy.setter
+    def strategy(self, strategy: DeflectionStrategy) -> None:
+        # The strategy call is bound here, not per hop; replacing the
+        # strategy (as the fast-failover baseline does) rebinds it.
+        self._strategy = strategy
         self._select_port = strategy.select_port
 
     def receive(self, packet: Packet, in_port: int) -> None:
@@ -149,7 +158,9 @@ class KarSwitch(Node):
                 self.sim.now, self.name, packet, in_port,
                 out_port, deflected,
             )
-        self.send(out_port, packet)
+        # The strategy picked a healthy port, so it is cabled: send on
+        # its channel directly, skipping Node.send's bounds checks.
+        self._channels[out_port].send(packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         self.drops += 1

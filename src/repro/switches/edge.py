@@ -145,6 +145,10 @@ class EdgeNode(Node):
         return host_name in self._host_ports
 
     # -- datapath --------------------------------------------------------
+    # Sends on a port cabled by construction (an installed ingress port,
+    # a served host's port, a healthy port) go to the port's channel
+    # directly, skipping Node.send's bounds checks.  A re-encode answer
+    # comes from the controller, so _reinject keeps Node.send.
     def receive(self, packet: Packet, in_port: int) -> None:
         if in_port == self._host_ports.get(packet.src_host) and packet.kar is None:
             self._ingress_packet(packet)
@@ -163,7 +167,7 @@ class EdgeNode(Node):
         self.encapsulated += 1
         if self.invariants is not None:
             self.invariants.on_encapsulate(self.sim.now, self.name, packet)
-        self.send(entry.out_port, packet)
+        self._channels[entry.out_port].send(packet)
 
     def _core_packet(self, packet: Packet) -> None:
         host_port = self._host_ports.get(packet.dst_host)
@@ -175,7 +179,7 @@ class EdgeNode(Node):
                 self.tracer.on_deliver(self.sim.now, packet.dst_host, packet)
             if self.invariants is not None:
                 self.invariants.on_deliver(self.sim.now, self.name, packet)
-            self.send(host_port, packet)
+            self._channels[host_port].send(packet)
             return
         self._misdelivered(packet)
 
@@ -250,7 +254,7 @@ class EdgeNode(Node):
             self.bounces += 1
             if self.invariants is not None:
                 self.invariants.on_reencode(self.sim.now, self.name, packet)
-            self.send(port, packet)
+            self._channels[port].send(packet)
             return
         self._drop(packet, "bounce-no-port")
 

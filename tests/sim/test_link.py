@@ -152,3 +152,23 @@ class TestNodeWiring:
         sim, a, b, link = pair
         assert a.peer_name(0) == "B"
         assert b.peer_name(0) == "A"
+
+
+class TestChannelEvents:
+    def test_receive_is_looked_up_per_arrival(self, pair, monkeypatch):
+        # Wrappers installed on the class after the link was built (the
+        # way a tracer or profiler hooks a layer) still see every packet.
+        sim, a, b, link = pair
+        seen = []
+        receive = Recorder.receive
+
+        def wrapped(node, packet, in_port):
+            seen.append((node.name, in_port))
+            receive(node, packet, in_port)
+
+        monkeypatch.setattr(Recorder, "receive", wrapped)
+        a.send(0, _pkt())
+        b.send(0, _pkt())
+        sim.run()
+        assert sorted(seen) == [("A", 0), ("B", 0)]
+        assert len(a.received) == len(b.received) == 1

@@ -182,6 +182,15 @@ class TestDeflectionIntegration:
         assert len(delivered) == 1
         assert delivered[0].name != "X"  # not the input port
 
+    def test_replacing_the_strategy_takes_effect(self):
+        # Baselines (fast failover) swap a built switch's strategy.
+        sim, sw, sinks = build_switch()
+        sw.strategy = NotInputPort()
+        sw.receive(_pkt(5), in_port=0)  # NoDeflection would drop this
+        sim.run()
+        assert (sw.drops, sw.deflections) == (0, 1)
+        assert sw.strategy.name == "nip"
+
     def test_id_must_exceed_ports(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="cannot address"):
