@@ -60,12 +60,14 @@ def test_walk_delivers_along_encoded_route(name, seed, extra):
     graph = random_connected(
         9, extra_links=extra, seed=seed, min_switch_id=23
     )
-    if name == "xsr":
-        reassign_switch_ids(graph, strategy="xsr")
-    backend.prepare(graph.switch_ids().values())
     names = sorted(graph.switch_ids())
     src_sw, dst_sw = names[0], names[-1]
     src_host, dst_host = attach_host_pair(graph, src_sw, dst_sw)
+    # Re-ID after the hosts are cabled: the edge links add a port to
+    # both end switches, and XSR's small GF(2) IDs must cover it.
+    if name == "xsr":
+        reassign_switch_ids(graph, strategy="xsr")
+    backend.prepare(graph.switch_ids().values())
     route_nodes = shortest_path(graph, src_sw, dst_sw)
     # Hop ports: toward the next core, then out the host-facing port.
     hops = []
