@@ -49,8 +49,6 @@ from repro.sim.vector import (
     _finish_record,
     build_workload,
     finalize_traces,
-    injection_batch,
-    iter_injections,
     process_epoch_batch,
 )
 
@@ -165,14 +163,14 @@ class ShardRunner:
     def step(
         self,
         flips: Sequence[Tuple[str, str]],
-        injections: Sequence[Tuple[int, int]],
         inbound: Sequence[Tuple[Sequence[Sequence[Any]], str]],
     ) -> Dict[int, Tuple[List[List[Any]], str]]:
         """Run one epoch over this shard's queues.
 
         ``inbound`` is the (rows, digest) batch from each sender shard in
         ascending shard order (empty batches included — the barrier is
-        total).  Returns this shard's outboxes, one per target shard.
+        total); the epoch's injections at this shard's switches follow
+        it.  Returns this shard's outboxes, one per target shard.
         """
         self.core.apply_flips(flips)
         accepted: List[Dict[str, np.ndarray]] = []
@@ -184,7 +182,7 @@ class ShardRunner:
                 )
             self.handoff_checks += 1
             accepted.append(rows_to_batch(rows))
-        accepted.append(injection_batch(self.workload, injections))
+        accepted.append(self.core.injections(self.core.epoch + 1))
         out = process_epoch_batch(self.core, _concat_batches(accepted))
         targets = self._owner[out["sw"]] if len(out["sw"]) else np.empty(
             0, dtype=np.int64
@@ -220,8 +218,8 @@ def _shard_worker(conn, spec, shard_id, blocks, trace):
         while True:
             msg = conn.recv()
             if msg[0] == "step":
-                _, flips, injections, inbound = msg
-                conn.send(("out", runner.step(flips, injections, inbound)))
+                _, flips, inbound = msg
+                conn.send(("out", runner.step(flips, inbound)))
             elif msg[0] == "finish":
                 conn.send(("final", runner.final_fragment()))
                 return
@@ -243,8 +241,8 @@ class _LocalShard:
     def __init__(self, workload, shard_id, blocks, trace):
         self.runner = ShardRunner(workload, shard_id, blocks, trace=trace)
 
-    def step(self, flips, injections, inbound):
-        return self.runner.step(flips, injections, inbound)
+    def step(self, flips, inbound):
+        return self.runner.step(flips, inbound)
 
     def finish(self):
         return self.runner.final_fragment()
@@ -272,8 +270,8 @@ class _ProcessShard:
             raise HandoffError(f"shard worker failed: {payload}")
         return payload
 
-    def step(self, flips, injections, inbound):
-        self._conn.send(("step", flips, injections, inbound))
+    def step(self, flips, inbound):
+        self._conn.send(("step", flips, inbound))
         return self._recv()
 
     def finish(self):
@@ -306,9 +304,6 @@ def run_epoch_sharded(
     """
     topo = workload.topo
     blocks = partition(topo.core_indices, shards)
-    owner_of_node: Dict[int, int] = {
-        u: s for s, block in enumerate(blocks) for u in block
-    }
 
     if processes:
         import multiprocessing
@@ -336,20 +331,12 @@ def run_epoch_sharded(
             live > 0 or epoch < workload.inject_epochs
         ):
             flips = workload.flips_at(epoch)
-            injections = iter_injections(workload, epoch)
-            inject_for: List[List[Tuple[int, int]]] = [
-                [] for _ in range(shards)
-            ]
-            for uid, f in injections:
-                inject_for[owner_of_node[workload.flows[f].ingress]].append(
-                    (uid, f)
-                )
             nxt: List[List[Tuple[List[List[Any]], str]]] = [
                 [None] * shards for _ in range(shards)  # type: ignore
             ]
             live = 0
             for s, member in enumerate(members):
-                outboxes = member.step(flips, inject_for[s], pending[s])
+                outboxes = member.step(flips, pending[s])
                 for t, (rows, digest) in outboxes.items():
                     nxt[t][s] = (rows, digest)
                     live += len(rows)

@@ -4,9 +4,9 @@ The DES engine (:mod:`repro.sim.engine`) prices every hop as a heap
 event — exact, but bounded by Python per-event overhead.  This module
 adds a "million-packet datapath": an **epoch-quantized forwarding
 model** in which every live packet advances exactly one switch hop per
-epoch, and a whole switch's epoch queue is drained in one vectorized
-numpy pass (the CPU analogue of the array-batched bulk provisioner in
-:mod:`repro.controller.bulk`).
+epoch, and every switch's epoch queue is drained in one vectorized
+numpy pass over the whole epoch (the CPU analogue of the array-batched
+bulk provisioner in :mod:`repro.controller.bulk`).
 
 Two engines implement the *same* canonical model and must produce
 bit-identical outcome records (digested with
@@ -18,14 +18,15 @@ bit-identical outcome records (digested with
   Its headers carry no residue hints, so every switch computes
   ``R mod switch_id`` itself, independently of the per-flow residue
   arrays the vector engine reads.
-* :func:`run_epoch_vector` — the batch engine.  Per switch per epoch
-  it resolves ``R mod switch_id`` for the whole queue at once (from
-  per-flow residue arrays seeded by
+* :func:`run_epoch_vector` — the batch engine.  Once per epoch it
+  sorts the live packets by switch (stably, so each queue keeps its
+  arrival order), resolves ``R mod switch_id`` for all of them at once
+  from a dense ``[switch, flow]`` residue table (seeded by
   :meth:`~repro.rns.encoder.EncodedRoute.residue_map`), applies the
   deflection strategy's happy-path predicate as a numpy mask, and only
-  the fallback minority goes through the switch's ``select_port`` —
-  so every RNG draw is literally the scalar engine's draw, in the
-  same order.
+  the fallback minority goes through ``select_port`` with its own
+  switch's view and RNG stream — so every RNG draw is literally the
+  scalar engine's draw, in the same order.
 
 Canonical model (shared by both engines, and by the sharded engine in
 :mod:`repro.sim.shard`):
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -126,52 +128,41 @@ def merge_rng_fragments(fragments: Sequence[Tuple[str, str]]) -> str:
 
 
 class EpochTopology:
-    """Dense per-node port maps for the epoch model.
+    """Flat port tables for the epoch model.
 
-    Built once from a :class:`PortGraph` via the CSR snapshot: for node
-    ``u`` and port ``p``, ``peer[u][p]`` is the neighbor's node index
-    and ``peer_port[u][p]`` the port **on the neighbor** facing ``u``
-    (the arriving packet's input port).  Node indices are name-sorted
-    ranks, matching :class:`~repro.topology.csr.CsrTopology`.
+    Built once from a :class:`PortGraph` via the CSR snapshot.  Node
+    ``u``'s port ``p`` is slot ``port_base[u] + p`` of the flat tables:
+    ``peer[slot]`` is the neighbor's node index and ``peer_port[slot]``
+    the port **on the neighbor** facing ``u`` (the arriving packet's
+    input port).  Node indices are name-sorted ranks, matching
+    :class:`~repro.topology.csr.CsrTopology`.  Names are interned, so
+    every record built on this topology shares one string per name.
     """
 
     def __init__(self, graph: PortGraph):
         csr = CsrTopology.from_graph(graph)
-        self.names: Tuple[str, ...] = csr.names
-        self.index: Dict[str, int] = csr.index
+        self.names: Tuple[str, ...] = tuple(sys.intern(n) for n in csr.names)
+        self.index: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
         self.n = csr.n
         self.core_mask = csr.core_mask
         self.switch_ids = csr.switch_ids
         self.core_indices: Tuple[int, ...] = tuple(
             int(i) for i in np.nonzero(csr.core_mask)[0]
         )
-        degree = np.diff(csr.indptr)
-        self.degree: Tuple[int, ...] = tuple(int(d) for d in degree)
-        self.peer: List[np.ndarray] = []
-        self.peer_port: List[np.ndarray] = []
-        for u in range(self.n):
-            d = self.degree[u]
-            peers = np.full(d, -1, dtype=np.int64)
-            pports = np.full(d, -1, dtype=np.int64)
-            sl = csr.edge_slice(u)
-            for nb, p_out, p_back in zip(
-                csr.indices[sl], csr.ports_out[sl], csr.ports_back[sl]
-            ):
-                peers[p_out] = nb
-                pports[p_out] = p_back
-            peers.setflags(write=False)
-            pports.setflags(write=False)
-            self.peer.append(peers)
-            self.peer_port.append(pports)
+        self.degree = np.diff(csr.indptr).astype(np.int64)
+        self.port_base = csr.indptr[:-1].astype(np.int64)
+        slot = np.repeat(self.port_base, self.degree) + csr.ports_out
+        self.peer = np.full(len(slot), -1, dtype=np.int64)
+        self.peer_port = np.full(len(slot), -1, dtype=np.int64)
+        self.peer[slot] = csr.indices
+        self.peer_port[slot] = csr.ports_back
+        for arr in (self.degree, self.port_base, self.peer, self.peer_port):
+            arr.setflags(write=False)
         #: link key (sorted names) -> (u, port_on_u, v, port_on_v)
         self.links: Dict[Tuple[str, str], Tuple[int, int, int, int]] = {}
         for link in graph.links():
             u, v = self.index[link.a], self.index[link.b]
             self.links[link.key] = (u, link.a_port, v, link.b_port)
-
-    def fresh_up_state(self) -> List[np.ndarray]:
-        """All-ports-up carrier state, one bool array per node."""
-        return [np.ones(d, dtype=bool) for d in self.degree]
 
 
 @dataclass(frozen=True)
@@ -541,7 +532,7 @@ def run_epoch_reference(
     for u in topo.core_indices:
         name = topo.names[u]
         sw = KarSwitch(
-            name, sim, num_ports=topo.degree[u],
+            name, sim, num_ports=int(topo.degree[u]),
             switch_id=int(topo.switch_ids[u]),
             strategy=strategy,
             rng=registry.stream(f"deflect:{name}"),
@@ -609,10 +600,11 @@ def run_epoch_reference(
                 if sink:
                     port, pkt = sink[0]
                     del sink[:]
-                    v = int(topo.peer[u][port])
+                    slot = int(topo.port_base[u]) + port
+                    v = int(topo.peer[slot])
                     if topo.core_mask[v]:
                         next_queues[v].append(
-                            (uid, f, pkt, int(topo.peer_port[u][port]))
+                            (uid, f, pkt, int(topo.peer_port[slot]))
                         )
                     else:
                         live -= 1
@@ -657,7 +649,7 @@ def run_epoch_reference(
 
 
 # ---------------------------------------------------------------------------
-# vector engine: per-switch-per-epoch numpy batches
+# vector engine: one numpy pass over every switch's queue per epoch
 # ---------------------------------------------------------------------------
 
 class _ArrayPortView:
@@ -705,10 +697,14 @@ class _ShimPacket:
         self.kar = _ShimKar(deflected)
 
 
+#: Column order of an epoch batch (every engine and shard uses it).
+_FIELDS = ("sw", "in_port", "ttl", "deflected", "flow", "uid")
+
+
 class EpochCore:
     """Vectorized switch state for a (subset of a) topology.
 
-    Owns per-switch counters, RNG streams and residue arrays for the
+    Owns per-switch counters, RNG streams and residue rows for the
     switches in ``owned`` (all core switches by default — the sharded
     engine passes each shard's block).  Carrier state covers the whole
     topology: flips are global knowledge, exactly as loss-of-carrier is
@@ -722,6 +718,7 @@ class EpochCore:
         trace: bool = False,
     ):
         topo = workload.topo
+        flows = workload.flows
         self.workload = workload
         self.topo = topo
         self.strategy = strategy_by_name(workload.strategy)
@@ -733,14 +730,19 @@ class EpochCore:
         self.rngs: Dict[int, random.Random] = {
             u: registry.stream(f"deflect:{topo.names[u]}") for u in self.owned
         }
-        self.up: List[np.ndarray] = topo.fresh_up_state()
+        # One flag per port slot; up[u] is a view of node u's ports.
+        self.carrier = np.ones(len(topo.peer), dtype=bool)
+        self.up: List[np.ndarray] = [
+            self.carrier[b:b + d]
+            for b, d in zip(topo.port_base.tolist(), topo.degree.tolist())
+        ]
         self.views: Dict[int, _ArrayPortView] = {
-            u: _ArrayPortView(topo.degree[u], self.up[u]) for u in self.owned
+            u: _ArrayPortView(int(topo.degree[u]), self.up[u])
+            for u in self.owned
         }
-        # counters[u] = [forwarded, deflections, drops]
-        self.counters: Dict[int, List[int]] = {
-            u: [0, 0, 0] for u in self.owned
-        }
+        self.forwarded = np.zeros(topo.n, dtype=np.int64)
+        self.drops = np.zeros(topo.n, dtype=np.int64)
+        self.deflections = [0] * topo.n  # bumped by the fallback loop
         self.drop_reasons: Dict[str, int] = {}
         self.delivered = 0
         self.misdelivered: Dict[str, int] = {}
@@ -751,20 +753,35 @@ class EpochCore:
         # into global hop order; finalize_traces() strips it.
         self.traces: Dict[int, List[Tuple[Any, ...]]] = {}
         self.epoch = -1  # bumped by process_epoch_batch
-        # Lazily-built per-switch residue arrays over flows.
-        self._residues: Dict[int, np.ndarray] = {}
-        self._flow_egress = np.array(
-            [f.egress for f in workload.flows], dtype=np.int64
-        )
-        self._flow_ttl = np.array(
-            [f.ttl for f in workload.flows], dtype=np.int64
-        )
-        self._flow_ingress = np.array(
-            [f.ingress for f in workload.flows], dtype=np.int64
-        )
-        self._flow_in_port = np.array(
-            [f.in_port for f in workload.flows], dtype=np.int64
-        )
+        # residues[u, f] = R_f mod s_u, filled per switch on first visit.
+        self._residues = np.zeros((topo.n, len(flows)), dtype=np.int64)
+        self._filled = np.zeros(topo.n, dtype=bool)
+        self._unfilled = len(self.owned)
+        self._flow_egress = np.array([f.egress for f in flows], np.int64)
+        # One epoch's injections for the flows entering at owned
+        # switches: flow-major, inject_per_epoch packets each.  Only the
+        # uids move from epoch to epoch (by one epoch's worth).
+        owned_set = set(self.owned)
+        mine = [f for f, flow in enumerate(flows) if flow.ingress in owned_set]
+        per_flow = workload.inject_per_epoch
+        flow = np.repeat(np.array(mine, dtype=np.int64), per_flow)
+        self._uid_step = len(flows) * per_flow
+        self._inject = {
+            "sw": np.array([f.ingress for f in flows], np.int64)[flow],
+            "in_port": np.array([f.in_port for f in flows], np.int64)[flow],
+            "ttl": np.array([f.ttl for f in flows], np.int64)[flow],
+            "deflected": np.zeros(len(flow), dtype=bool),
+            "flow": flow,
+            "uid": flow * per_flow + np.tile(np.arange(per_flow), len(mine)),
+        }
+
+    def injections(self, epoch: int) -> Dict[str, np.ndarray]:
+        """This core's share of ``iter_injections(workload, epoch)``."""
+        if epoch >= self.workload.inject_epochs:
+            return _empty_batch()
+        batch = dict(self._inject)
+        batch["uid"] = batch["uid"] + epoch * self._uid_step
+        return batch
 
     def apply_flips(self, keys: Sequence[Tuple[str, str]]) -> None:
         for key in keys:
@@ -776,173 +793,150 @@ class EpochCore:
                 if view is not None:
                     view.invalidate()
 
-    def residues_for(self, u: int) -> np.ndarray:
-        res = self._residues.get(u)
-        if res is None:
+    def _fill_residues(self, sw: np.ndarray) -> None:
+        """Fill the residue rows of switches in *sw* (sorted) not seen yet.
+
+        The encode-time hint when the flow has one, else ``R mod s``.
+        """
+        heads = sw[np.flatnonzero(np.diff(sw, prepend=-1))]
+        for u in heads[~self._filled[heads]].tolist():
             sid = int(self.topo.switch_ids[u])
-            vals = []
-            for flow in self.workload.flows:
-                r = None
-                if flow.residues is not None:
-                    r = flow.residues.get(sid)
-                if r is None:
-                    r = flow.route_id % sid
-                vals.append(r)
-            res = np.array(vals, dtype=np.int64)
-            self._residues[u] = res
-        return res
+            row = self._residues[u]
+            for f, flow in enumerate(self.workload.flows):
+                hint = None if flow.residues is None else flow.residues.get(sid)
+                row[f] = flow.route_id % sid if hint is None else hint
+            self._filled[u] = True
+            self._unfilled -= 1
 
-    def process_switch(
-        self,
-        u: int,
-        flow: np.ndarray,
-        ttl: np.ndarray,
-        deflected: np.ndarray,
-        in_port: np.ndarray,
-        uid: np.ndarray,
-    ) -> Dict[str, np.ndarray]:
-        """Drain one switch's epoch queue in one vectorized pass.
+    def drain(self, sw, in_port, ttl, deflected, flow, uid):
+        """Drain every switch's queue at once; arrays sorted by switch.
 
-        Returns the surviving (core-bound) packets as arrays in
-        emission order: ``sw``/``in_port``/``ttl``/``deflected``/
-        ``flow``/``uid``.  Terminals (delivered, misdelivered, drops)
-        are tallied on the core's counters.
+        Each step runs once over the whole epoch, so the survivors come
+        back exactly as the per-switch outputs concatenated in switch
+        order.  Terminals (delivered, misdelivered, drops) are tallied
+        on the core; ``ttl`` and ``deflected`` are updated in place.
         """
         topo = self.topo
-        name = topo.names[u]
-        deg = topo.degree[u]
-        counters = self.counters[u]
-        n = len(flow)
-
-        expired = ttl <= 0
-        n_expired = int(expired.sum())
-        if n_expired:
-            counters[2] += n_expired
-            self._drop_n("ttl-expired", n_expired)
-            if self.trace:
-                for w in np.nonzero(expired)[0]:
-                    self.fates[int(uid[w])] = ("dropped", name, "ttl-expired")
-        alive = ~expired
-        if not alive.all():
-            flow = flow[alive]
-            ttl = ttl[alive]
-            deflected = deflected[alive]
-            in_port = in_port[alive]
-            uid = uid[alive]
-        if len(flow) == 0:
-            return _empty_batch()
-        ttl = ttl - 1
-
-        comp = self.residues_for(u)[flow]
-        up_u = self.up[u]
-        valid = comp < deg
-        usable = np.zeros(len(comp), dtype=bool)
-        if valid.any():
-            usable[valid] = up_u[comp[valid]]
+        names = topo.names
+        n = topo.n
         s = self.strategy_name
-        if s == "none":
-            happy = usable
-        elif s == "hp":
-            happy = usable & ~deflected
-        elif s == "avp":
-            happy = usable
-        else:  # nip
-            happy = usable & (comp != in_port)
+        expired = ttl <= 0
+        if expired.any():
+            dead = sw[expired]
+            self.drops += np.bincount(dead, minlength=n)
+            self._drop_n("ttl-expired", len(dead))
+            if self.trace:
+                for u, w in zip(dead.tolist(), uid[expired].tolist()):
+                    self.fates[w] = ("dropped", names[u], "ttl-expired")
+            alive = ~expired
+            sw, in_port, ttl, deflected, flow, uid = (
+                a[alive] for a in (sw, in_port, ttl, deflected, flow, uid)
+            )
+            if not len(sw):
+                return _empty_batch()
+        ttl -= 1
 
-        out_port = np.where(happy, comp, -1)
-        out_defl = deflected.copy()
+        if self._unfilled:
+            self._fill_residues(sw)
+        out_port = self._residues[sw, flow]  # R mod s; fallbacks overwrite
+        # A computed port past the switch's degree is not usable; its
+        # slot may name another node's port (clipped at the end), which
+        # the degree test masks.
+        slot = topo.port_base[sw] + out_port
+        happy = (out_port < topo.degree[sw]) & self.carrier.take(
+            slot, mode="clip"
+        )
+        if s == "hp":
+            happy &= ~deflected
+        elif s == "nip":
+            happy &= out_port != in_port
+        fallback = np.flatnonzero(~happy)
         # The per-hop decision flag (what the tracer records) is not
         # the sticky kar.deflected bit: a happy-path hop traces False
         # even for a packet deflected upstream.
-        hop_defl = np.zeros(len(comp), dtype=bool)
-        dropped = np.zeros(len(comp), dtype=bool)
-        fallback = np.nonzero(~happy)[0]
-        if s == "none":
-            dropped[fallback] = True
-            n_drop = len(fallback)
-            if n_drop:
-                counters[2] += n_drop
-                self._drop_n("no-usable-port(none)", n_drop)
-        elif len(fallback):
+        hop_defl = np.zeros(len(sw), dtype=bool) if self.trace else None
+        if s == "none" or not len(fallback):
+            dropped = fallback
+        else:
             # The slow minority goes through the strategy's select_port
-            # with the switch's real RNG stream, in queue order — the
+            # with each switch's real RNG stream, in queue order — the
             # draws ARE the scalar engine's draws.
             select_port = self.strategy.select_port
-            view = self.views[u]
-            rng = self.rngs[u]
-            reason = f"no-usable-port({s})"
-            for w in fallback:
+            views, rngs, deflections = self.views, self.rngs, self.deflections
+            shims = (_ShimPacket(False), _ShimPacket(True))
+            ports: List[int] = []
+            flags: List[bool] = []
+            for u, d, p, c in zip(
+                sw[fallback].tolist(), deflected[fallback].tolist(),
+                in_port[fallback].tolist(), out_port[fallback].tolist(),
+            ):
                 port, hop_deflected = select_port(
-                    view, _ShimPacket(bool(deflected[w])),
-                    int(in_port[w]), int(comp[w]), rng,
+                    views[u], shims[d], p, c, rngs[u]
                 )
-                if port is None:
-                    dropped[w] = True
-                    counters[2] += 1
-                    self._drop_n(reason, 1)
-                else:
-                    out_port[w] = port
-                    if hop_deflected:
-                        out_defl[w] = True
-                        hop_defl[w] = True
-                        counters[1] += 1
-        if self.trace:
-            for w in np.nonzero(dropped & ~happy)[0]:
-                if int(uid[w]) not in self.fates:
-                    self.fates[int(uid[w])] = (
-                        "dropped", name, f"no-usable-port({s})"
-                    )
-
-        fwd = ~dropped
-        n_fwd = int(fwd.sum())
-        counters[0] += n_fwd
-        if n_fwd == 0:
-            return _empty_batch()
-        flow = flow[fwd]
-        ttl = ttl[fwd]
-        out_defl = out_defl[fwd]
-        hop_defl = hop_defl[fwd]
-        out_port = out_port[fwd]
-        uid = uid[fwd]
-        in_port = in_port[fwd]
-
-        peers = topo.peer[u][out_port]
-        next_in = topo.peer_port[u][out_port]
-        if self.trace:
-            for w in range(len(uid)):
-                self.traces.setdefault(int(uid[w]), []).append(
-                    (self.epoch, name, int(in_port[w]), int(out_port[w]),
-                     bool(hop_defl[w]))
-                )
-        is_core = self.topo.core_mask[peers]
-        term = np.nonzero(~is_core)[0]
-        if len(term):
-            egress = self._flow_egress[flow[term]]
-            ok = peers[term] == egress
-            self.delivered += int(ok.sum())
-            if (~ok).any():
-                bad_edges = peers[term][~ok]
-                for v, cnt in zip(*np.unique(bad_edges, return_counts=True)):
-                    edge_name = topo.names[int(v)]
-                    self.misdelivered[edge_name] = (
-                        self.misdelivered.get(edge_name, 0) + int(cnt)
-                    )
+                ports.append(-1 if port is None else port)
+                flags.append(hop_deflected)
+                if hop_deflected:
+                    deflections[u] += 1
+            chosen = np.array(ports, dtype=np.int64)
+            out_port[fallback] = chosen
+            deflected[fallback] |= flags
+            if hop_defl is not None:
+                hop_defl[fallback] = flags
+            dropped = fallback[chosen < 0]
+        if len(dropped):
+            lost = sw[dropped]
+            self.drops += np.bincount(lost, minlength=n)
+            reason = f"no-usable-port({s})"
+            self._drop_n(reason, len(dropped))
             if self.trace:
-                for w, good in zip(term, ok):
-                    edge_name = topo.names[int(peers[w])]
-                    self.fates[int(uid[w])] = (
-                        ("delivered", edge_name) if good
-                        else ("misdelivered", edge_name)
-                    )
-        keep = is_core
-        return {
-            "sw": peers[keep],
-            "in_port": next_in[keep],
-            "ttl": ttl[keep],
-            "deflected": out_defl[keep],
-            "flow": flow[keep],
-            "uid": uid[keep],
+                for u, w in zip(lost.tolist(), uid[dropped].tolist()):
+                    self.fates[w] = ("dropped", names[u], reason)
+            fwd = np.ones(len(sw), dtype=bool)
+            fwd[dropped] = False
+            sw, in_port, ttl, deflected, flow, uid, out_port = (
+                a[fwd]
+                for a in (sw, in_port, ttl, deflected, flow, uid, out_port)
+            )
+            if hop_defl is not None:
+                hop_defl = hop_defl[fwd]
+        self.forwarded += np.bincount(sw, minlength=n)
+
+        slot = topo.port_base[sw] + out_port
+        peers = topo.peer[slot]
+        if self.trace:
+            epoch = self.epoch
+            for w, u, p, o, h in zip(
+                uid.tolist(), sw.tolist(), in_port.tolist(),
+                out_port.tolist(), hop_defl.tolist(),
+            ):
+                self.traces.setdefault(w, []).append(
+                    (epoch, names[u], p, o, h)
+                )
+        out = {
+            "sw": peers, "in_port": topo.peer_port[slot], "ttl": ttl,
+            "deflected": deflected, "flow": flow, "uid": uid,
         }
+        is_core = topo.core_mask[peers]
+        if is_core.all():
+            return out
+        term = ~is_core
+        edges = peers[term]
+        ok = edges == self._flow_egress[flow[term]]
+        self.delivered += int(ok.sum())
+        if not ok.all():
+            for v, cnt in zip(*np.unique(edges[~ok], return_counts=True)):
+                edge_name = names[int(v)]
+                self.misdelivered[edge_name] = (
+                    self.misdelivered.get(edge_name, 0) + int(cnt)
+                )
+        if self.trace:
+            for w, v, good in zip(
+                uid[term].tolist(), edges.tolist(), ok.tolist()
+            ):
+                self.fates[w] = (
+                    "delivered" if good else "misdelivered", names[v]
+                )
+        return {k: a[is_core] for k, a in out.items()}
 
     def _drop_n(self, reason: str, n: int) -> None:
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + n
@@ -955,18 +949,18 @@ class EpochCore:
 
     def switch_counters(self) -> Dict[str, List[int]]:
         return {
-            self.topo.names[u]: list(c) for u, c in self.counters.items()
+            self.topo.names[u]: [
+                int(self.forwarded[u]), self.deflections[u],
+                int(self.drops[u]),
+            ]
+            for u in self.owned
         }
 
 
 def _empty_batch() -> Dict[str, np.ndarray]:
     return {
-        "sw": np.empty(0, dtype=np.int64),
-        "in_port": np.empty(0, dtype=np.int64),
-        "ttl": np.empty(0, dtype=np.int64),
-        "deflected": np.empty(0, dtype=bool),
-        "flow": np.empty(0, dtype=np.int64),
-        "uid": np.empty(0, dtype=np.int64),
+        k: np.empty(0, dtype=bool if k == "deflected" else np.int64)
+        for k in _FIELDS
     }
 
 
@@ -1000,34 +994,18 @@ def injection_batch(
 def process_epoch_batch(
     core: EpochCore, batch: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
-    """One epoch over *batch*: group per switch, drain each in one pass.
+    """One epoch over *batch*: every switch's queue in one numpy pass.
 
-    The stable sort groups per-switch queues without perturbing arrival
-    order (sender index, emission order) inside one.  Shared by the
-    unsharded engine and each shard (whose batches only contain its own
-    switches).
+    The stable sort lines the per-switch queues up in node-index order
+    without perturbing arrival order (sender index, emission order)
+    inside one.  Shared by the unsharded engine and each shard (whose
+    batches only contain its own switches).
     """
     core.epoch += 1
-    sw = batch["sw"]
-    if not len(sw):
+    if not len(batch["sw"]):
         return _empty_batch()
-    outputs: List[Dict[str, np.ndarray]] = []
-    order = np.argsort(sw, kind="stable")
-    sw_sorted = sw[order]
-    bounds = np.nonzero(np.diff(sw_sorted))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(sw_sorted)]))
-    for lo, hi in zip(starts, ends):
-        sel = order[lo:hi]
-        outputs.append(core.process_switch(
-            int(sw_sorted[lo]),
-            batch["flow"][sel],
-            batch["ttl"][sel],
-            batch["deflected"][sel],
-            batch["in_port"][sel],
-            batch["uid"][sel],
-        ))
-    return _concat_batches(outputs)
+    order = np.argsort(batch["sw"], kind="stable")
+    return core.drain(*(batch[k][order] for k in _FIELDS))
 
 
 def finalize_traces(
@@ -1047,7 +1025,7 @@ def finalize_traces(
 def run_epoch_vector(
     workload: EpochWorkload, trace: bool = False
 ) -> EpochOutcome:
-    """The batch engine: one vectorized pass per switch per epoch."""
+    """The batch engine: one vectorized pass over every switch per epoch."""
     core = EpochCore(workload, trace=trace)
     batch = _empty_batch()
     epoch = 0
@@ -1055,8 +1033,9 @@ def run_epoch_vector(
         len(batch["uid"]) > 0 or epoch < workload.inject_epochs
     ):
         core.apply_flips(workload.flips_at(epoch))
-        inj = injection_batch(workload, iter_injections(workload, epoch))
-        batch = process_epoch_batch(core, _concat_batches([batch, inj]))
+        batch = process_epoch_batch(
+            core, _concat_batches([batch, core.injections(epoch)])
+        )
         epoch += 1
 
     record = _finish_record(

@@ -85,7 +85,7 @@ class TestDigestGate:
         good = handoff_digest(rows)
         rows[0][1] = 9  # TTL mutated in transit
         with pytest.raises(HandoffError, match="digest mismatch"):
-            runner.step((), (), [(rows, good)])
+            runner.step((), [(rows, good)])
 
     def test_clean_handoff_accepted_and_counted(self):
         wl = build_workload(small_spec())
@@ -96,11 +96,15 @@ class TestDigestGate:
             (uid, f) for uid, f in iter_injections(wl, 0)
             if wl.flows[f].ingress in owned
         ]
-        out = runner.step((), mine, [([], handoff_digest([]))])
+        out = runner.step((), [([], handoff_digest([]))])
         assert runner.handoff_checks == 1
         assert set(out) == {0, 1}
         for rows, digest in out.values():
             assert handoff_digest(rows) == digest
+        # The shard injects exactly its switches' share of epoch 0, and
+        # every first hop lands on a core switch.
+        sent = sorted(row[5] for rows, _ in out.values() for row in rows)
+        assert sent == sorted(uid for uid, _ in mine)
 
 
 class TestShardedEquality:

@@ -8,10 +8,13 @@ not just aggregate counts.
 
 import pytest
 
+from repro.bench.simbench import _epoch_spec
 from repro.farm.jobs import execute_spec, simvector_spec
 from repro.sim.vector import (
+    EpochCore,
     EpochTopology,
     build_workload,
+    injection_batch,
     iter_injections,
     run_epoch_reference,
     run_epoch_vector,
@@ -45,12 +48,13 @@ class TestWorkloadBuild:
 
     def test_topology_port_tables_are_inverses(self):
         topo = build_workload(small_spec()).topo
+        assert len(topo.peer) == int(topo.degree.sum())
         for u in range(topo.n):
             for p in range(topo.degree[u]):
-                v = int(topo.peer[u][p])
-                back = int(topo.peer_port[u][p])
-                assert int(topo.peer[v][back]) == u
-                assert int(topo.peer_port[v][back]) == p
+                v = int(topo.peer[topo.port_base[u] + p])
+                back = int(topo.peer_port[topo.port_base[u] + p])
+                assert int(topo.peer[topo.port_base[v] + back]) == u
+                assert int(topo.peer_port[topo.port_base[v] + back]) == p
 
     def test_canonical_uids_are_dense_and_epoch_major(self):
         wl = build_workload(small_spec())
@@ -129,6 +133,57 @@ class TestEngineEquality:
             build_workload(small_spec(link_failures=1, repair_epoch=None))
         )
         assert healthy.digest != failed.digest
+
+
+class TestArrayInjections:
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(strategy="hp", seed=11, flows=4, inject_per_epoch=3),
+        synthetic_spec(num_switches=12, flows=7, inject_per_epoch=1,
+                       inject_epochs=9, seed=2),
+    ])
+    def test_equal_iter_injections_every_epoch(self, spec):
+        wl = build_workload(spec)
+        core = EpochCore(wl)
+        for epoch in range(wl.max_epochs):
+            got = core.injections(epoch)
+            want = injection_batch(wl, iter_injections(wl, epoch))
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k].dtype == want[k].dtype, (epoch, k)
+                assert got[k].tolist() == want[k].tolist(), (epoch, k)
+
+    def test_shard_injections_partition_the_epoch(self):
+        wl = build_workload(small_spec(flows=4))
+        blocks = [wl.topo.core_indices[:3], wl.topo.core_indices[3:]]
+        for epoch in range(wl.inject_epochs):
+            uids = [
+                EpochCore(wl, owned=block).injections(epoch)["uid"].tolist()
+                for block in blocks
+            ]
+            assert sorted(uids[0] + uids[1]) == [
+                uid for uid, _ in iter_injections(wl, epoch)
+            ]
+
+
+#: Record digests of simbench's large epoch cells at seed 1, as
+#: committed in BENCH_sim.json (the scalar reference agrees with each).
+LARGE_DIGESTS = {
+    "none": "15bd894d14776aed",
+    "hp": "9157377359e610ae",
+    "avp": "9076c3fde25da197",
+    "nip": "359c77ef8db5e880",
+}
+
+
+class TestLargeEpochPin:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_large_cell_digest(self, strategy):
+        wl = build_workload(_epoch_spec("large", strategy, 1))
+        assert len(wl.topo.core_indices) == 64
+        assert len(wl.flows) == 48
+        assert wl.injected_total == 32256
+        assert run_epoch_vector(wl).digest == LARGE_DIGESTS[strategy]
 
 
 class TestSimvectorJob:

@@ -36,6 +36,39 @@ specs = st.builds(
 )
 
 
+
+@st.composite
+def wide_specs(draw):
+    """Many-switch batches: 10-24 queues drained per epoch pass, with
+    random extra flips of any link (edge links included)."""
+    spec = synthetic_spec(
+        num_switches=draw(st.integers(min_value=10, max_value=24)),
+        extra_links=draw(st.integers(min_value=0, max_value=12)),
+        min_switch_id=draw(st.sampled_from([211, 257, 557])),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        strategy=draw(st.sampled_from(["none", "hp", "avp", "nip"])),
+        flows=draw(st.integers(min_value=4, max_value=8)),
+        ttl=draw(st.integers(min_value=4, max_value=40)),
+        inject_per_epoch=draw(st.integers(min_value=1, max_value=4)),
+        inject_epochs=draw(st.integers(min_value=1, max_value=6)),
+        link_failures=draw(st.integers(min_value=0, max_value=3)),
+        fail_epoch=draw(st.integers(min_value=0, max_value=4)),
+        repair_epoch=draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=12)
+        )),
+    )
+    links = sorted(build_workload(spec).topo.links)
+    flips = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=len(links) - 1),
+        ),
+        max_size=10,
+    ))
+    spec["extra_flips"] = [[epoch, *links[i]] for epoch, i in flips]
+    return spec
+
+
 @settings(max_examples=15, deadline=None)
 @given(spec=specs)
 def test_vector_reproduces_reference_decisions(spec):
@@ -48,6 +81,18 @@ def test_vector_reproduces_reference_decisions(spec):
     assert (
         vec.record["rng_fingerprint"] == ref.record["rng_fingerprint"]
     )  # identical stream positions on every switch
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=wide_specs())
+def test_vector_reproduces_reference_on_many_switches(spec):
+    wl = build_workload(spec)
+    assert len(wl.topo.core_indices) >= 10
+    ref = run_epoch_reference(wl, trace=True)
+    vec = run_epoch_vector(wl, trace=True)
+    assert vec.record == ref.record
+    assert vec.traces == ref.traces
+    assert vec.fates == ref.fates
 
 
 @settings(max_examples=10, deadline=None)
